@@ -125,7 +125,10 @@ def build_rate(kernel: SeriesKernel, x_switch: float = DEFAULT_X_SWITCH) -> Rate
 
     Raises:
         RuntimeError: "quotient series breakdown" if the division recursion
-            produces non-finite coefficients (lower x_switch).
+            produces non-finite coefficients (lower x_switch);
+            "logarithmic-derivative table did not converge", naming the
+            achieved relative change and node count, if step doubling
+            reaches the node cap first.
     """
     if not (x_switch > 0.0 and math.isfinite(x_switch)):
         raise ValueError(f"x_switch must be positive, got {x_switch}")
@@ -179,6 +182,12 @@ def build_rate(kernel: SeriesKernel, x_switch: float = DEFAULT_X_SWITCH) -> Rate
                 break
     if not np.all(np.isfinite(w)):
         raise RuntimeError("logarithmic-derivative integration did not stabilize")
+    if not rel < _RICCATI_REL_TOL:
+        raise RuntimeError(
+            "logarithmic-derivative table did not converge: relative change "
+            f"{rel:.3e} (tol {_RICCATI_REL_TOL:.0e}) at the node cap, "
+            f"{nodes.size} nodes"
+        )
 
     inv_sigma4 = 1.0 / params.sigma**4
     dwdr = nodes**2 * inv_sigma4 - w**2 - (params.n_goods - 1) * w / nodes

@@ -26,6 +26,7 @@ class TestPicard:
         p = ModelParams(2, 1.0, 1.0)
         got = picard_solve(p, GRID, tol=0.1)
         assert len(got.sup_diffs) == 1
+        assert got.refinement_level >= 4  # two extrapolations to compare
         expected = 1.0 + GRID**4 / 16.0
         assert max_rel_diff(got.values, expected) < 1e-9
 
@@ -46,6 +47,23 @@ class TestPicard:
         got = picard_solve(ModelParams(2, 1.0, 1.0), GRID)
         assert max_rel_diff(got.values, eval_u(std_kernel, GRID)) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 100])
+    def test_richardson_stops_early_and_matches_series(self, n):
+        # plain trapezoid needs level 12-14 on these cells for 1e-10
+        p = ModelParams(n, 0.5, 2.0)
+        grid = np.linspace(0.0, 2.0, 200)
+        got = picard_solve(p, grid)
+        assert got.refinement_level <= 8
+        assert max_rel_diff(got.values, eval_u(build_kernel(p, r_max=2.0), grid)) < 1e-10
+
+    def test_refinement_failure_names_gap_and_level(self):
+        with pytest.raises(RuntimeError, match="did not reach self-consistency") as info:
+            picard_solve(ModelParams(2, 1.0, 1.0), np.linspace(0.0, 1.0, 10), quad_tol=1e-30)
+        message = str(info.value)
+        gap = float(message.split("best relative gap ")[1].split(",")[0])
+        assert 0.0 <= gap < 1e-10
+        assert message.endswith("last level 14")
+
     def test_not_converged_error(self):
         with pytest.raises(RuntimeError, match="Picard not converged"):
             picard_solve(ModelParams(1, 0.5, 2.0), np.linspace(0, 2, 50), k_max=2)
@@ -64,6 +82,7 @@ class TestOdeSolve:
     def test_matches_series_and_initial_conditions(self, std_kernel):
         got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
         assert got.values[0] == 1.0
+        assert got.refinement_level is None
         assert max_rel_diff(got.values, eval_u(std_kernel, GRID)) < 1e-8
         # flat at the origin: the first grid step gains only O(h^4), at the
         # integrator's absolute noise floor

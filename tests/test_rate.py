@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from hjb_planner import rate as rate_module
 from hjb_planner import (
     ModelParams,
     build_kernel,
@@ -73,6 +74,20 @@ class TestQuotientCoefficients:
     def test_rejects_bad_x_switch(self, std_kernel):
         with pytest.raises(ValueError):
             build_rate(std_kernel, x_switch=-0.5)
+
+
+def test_riccati_node_cap_raises_with_achieved_rel(monkeypatch, std_kernel):
+    # with a tiny cap the table stays unconverged and must not be accepted
+    # silently: the stability rule starts at the cap (16 steps) and one
+    # doubling gives 32 steps, 33 nodes
+    monkeypatch.setattr(rate_module, "_RICCATI_START_NODES", 8)
+    monkeypatch.setattr(rate_module, "_RICCATI_MAX_NODES", 16)
+    with pytest.raises(RuntimeError, match="did not converge") as info:
+        build_rate(std_kernel)
+    message = str(info.value)
+    assert message.endswith("33 nodes")
+    rel = float(message.split("relative change ")[1].split()[0])
+    assert math.isfinite(rel) and rel >= 1e-10
 
 
 class TestRateCoeff:
