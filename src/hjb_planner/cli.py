@@ -37,6 +37,24 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+_BOOLEANS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
+
+
+def _parse_bool(key: str, value) -> bool:
+    """A flag's True, or a config-file word such as true/false or on/off."""
+    if isinstance(value, bool):
+        return value
+    try:
+        return _BOOLEANS[value.strip().lower()]
+    except KeyError:
+        raise SystemExit(
+            f"bad boolean for {key}: {value!r} (want true/false, 1/0, yes/no, on/off)"
+        ) from None
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
@@ -169,9 +187,8 @@ def main(argv=None) -> int:
             seed=int(get("seed", 42)),
             y0=y0,
         )
-        result = run_simulate(
-            n, sigma, radius, cfg, out_dir, trace=bool(get("trace", False))
-        )
+        trace = _parse_bool("trace", get("trace", False))
+        result = run_simulate(n, sigma, radius, cfg, out_dir, trace=trace)
         print(
             f"mean={fmt(result['mean'])} stderr={fmt(result['stderr'])} "
             f"n_exited={result['n_exited']} -> {result['summary_csv']}"

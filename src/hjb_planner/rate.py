@@ -30,7 +30,6 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicHermiteSpline
 
 from .fileio import write_csv
@@ -111,11 +110,12 @@ def _riccati_start_steps(r_eps: float, r_max: float, sigma: float) -> int:
 
     At large radii w ~ r/sigma^2 and the local decay rate is 2w, so the
     geometric step h = r ln(r_max/r_eps)/n must satisfy h * 2w < ~2.8;
-    start with a factor-4 margin below that limit."""
+    start with a factor-4 margin below that limit.  At most half the node
+    cap, because the first convergence test integrates twice as many steps."""
     span = math.log(r_max / r_eps)
     needed = 4.0 * span * r_max**2 / sigma**2 / 2.8
-    n = _RICCATI_START_NODES
-    while n < needed and n < _RICCATI_MAX_NODES:
+    n = min(_RICCATI_START_NODES, _RICCATI_MAX_NODES // 2)
+    while n < needed and 2 * n < _RICCATI_MAX_NODES:
         n *= 2
     return n
 
@@ -207,7 +207,11 @@ def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
     """rho(r) = sigma^2 u'(r) / (r u(r)), with rho(0) = 0.
 
     Quotient series for x <= x_switch, logarithmic-derivative table beyond.
-    Nondecreasing in r and bounded by 1 on the certified range.
+    Nondecreasing in r and bounded by 1 on the certified range.  This is
+    the one validated route, and the Euler loop calls it on every step:
+    validation is one min/max pair, the table is consulted only when x at
+    the largest r exceeds x_switch, and the series runs Horner's rule in
+    place, bit for bit ``npoly.polyval`` but with no per-term allocation.
 
     Raises:
         ValueError: "evaluation outside certified range" for r outside
@@ -216,24 +220,45 @@ def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        return np.zeros(arr.shape)
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("evaluation outside certified range (non-finite r)")
-    if np.any(arr < 0.0) or np.any(arr > rate.r_max):
+    if lo < 0.0 or hi > rate.r_max:
         raise ValueError(f"evaluation outside certified range [0, {rate.r_max}]")
 
     sigma2 = rate.params.sigma**2
-    x = arr**4 / (4.0 * sigma2 * sigma2)
-    out = np.zeros(arr.shape)
-    series = (x <= rate.x_switch) & (arr > 0.0)
-    if np.any(series):
-        # (4 sigma^2/r^2) sum_j c_j x^j = (r^2/sigma^2) sum_j c_j x^(j-1),
-        # division-free so the r -> 0 limit comes out as exactly 0
-        rs = arr[series]
-        out[series] = rs**2 / sigma2 * npoly.polyval(x[series], rate.c[1:])
-    tail = x > rate.x_switch
-    if np.any(tail):
+    x = np.power(arr, 4.0)
+    x /= 4.0 * sigma2 * sigma2
+    # x is nondecreasing in r: the largest x, x(max r), decides alone
+    # whether the table is needed at all
+    if x.max() <= rate.x_switch:
+        out = _quotient_series(rate.c, arr, x, sigma2)
+    else:
+        out = np.zeros(arr.shape)
+        series = x <= rate.x_switch
+        if np.any(series):
+            out[series] = _quotient_series(rate.c, arr[series], x[series], sigma2)
+        tail = ~series
         out[tail] = sigma2 * rate._w_interp(arr[tail]) / arr[tail]
     return float(out[0]) if scalar else out
+
+
+def _quotient_series(c: np.ndarray, r: np.ndarray, x: np.ndarray, sigma2: float):
+    """(4 sigma^2/r^2) sum_j c_j x^j = (r^2/sigma^2) sum_j c_j x^(j-1).
+
+    Division-free, so the r -> 0 limit comes out as exactly 0.  Horner's
+    rule runs in place, the same operations in the same order as
+    ``npoly.polyval(x, c[1:])``; x is overwritten and returned."""
+    acc = np.full(x.shape, c[-1])
+    for cj in c[-2:0:-1]:
+        acc *= x
+        acc += cj
+    out = np.multiply(r, r, out=x)
+    out /= sigma2
+    out *= acc
+    return out
 
 
 def feedback(rate: RateSeries, y) -> ControlVector:

@@ -10,8 +10,8 @@ with exit tested at grid times only and the running cost
 (|p|^2 + |y|^2) dt accumulated at left endpoints, which is the
 Ito-consistent choice.  Noise comes from the counter-based generator, so a
 path is a pure function of (seed, path_index) no matter how paths are
-batched or scheduled; means are reduced in path-index order so Monte Carlo
-results are reproducible bit for bit.
+batched or scheduled, or how many steps one draw covers; means are reduced
+in path-index order so Monte Carlo results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .rate import RateSeries, rate_coeff
 from .rng import normals
 
 _CHUNK = 65536
+# Philox blocks (two normals each) per noise draw: a batch draws
+# max(1, _DRAW_BUDGET // (paths * ceil(N/2))) steps at once, so wide
+# batches still draw one step at a time and narrow ones amortize the
+# per-call cost of the generator over many steps
+_DRAW_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,10 @@ def _run_paths(
                 (step * dt, *y[row].tolist(), float(cost[row]))
             )
 
+    # noise comes in blocks of consecutive steps; z_rows maps each running
+    # path to its row of the current block
+    pairs = (n + 1) // 2
+    block_start = block_stop = 0
     for step in range(cfg.max_steps):
         r = np.sqrt(np.einsum("ij,ij->i", y, y))
         hit = r >= radius
@@ -141,10 +150,18 @@ def _run_paths(
             pos, y, cost, r = pos[keep], y[keep], cost[keep], r[keep]
             if pos.size == 0:
                 break
+            if step < block_stop:
+                z_rows = z_rows[keep]
         rho = rate_coeff(rate, r)
         cost += (rho * rho + 1.0) * r * r * dt
-        z = normals(cfg.seed, paths[pos], step, n)
-        y += rho[:, None] * y * dt + noise_scale * z
+        if step == block_stop:
+            k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
+            block = normals(cfg.seed, paths[pos], step, n, n_steps=k)
+            block_start, block_stop = step, step + k
+            z_rows = np.arange(pos.size)
+        z = block[z_rows, step - block_start]  # a copy, so scaled in place
+        z *= noise_scale
+        y += rho[:, None] * y * dt + z
         if not np.all(np.isfinite(y)):
             raise RuntimeError("simulation diverged (non-finite inventory state)")
     else:

@@ -78,16 +78,26 @@ class TestQuotientCoefficients:
 
 def test_riccati_node_cap_raises_with_achieved_rel(monkeypatch, std_kernel):
     # with a tiny cap the table stays unconverged and must not be accepted
-    # silently: the stability rule starts at the cap (16 steps) and one
-    # doubling gives 32 steps, 33 nodes
+    # silently: the stability rule starts at half the cap (8 steps) and the
+    # one doubling it allows reaches the cap, 16 steps, 17 nodes
     monkeypatch.setattr(rate_module, "_RICCATI_START_NODES", 8)
     monkeypatch.setattr(rate_module, "_RICCATI_MAX_NODES", 16)
     with pytest.raises(RuntimeError, match="did not converge") as info:
         build_rate(std_kernel)
     message = str(info.value)
-    assert message.endswith("33 nodes")
+    assert message.endswith("17 nodes")
     rel = float(message.split("relative change ")[1].split()[0])
     assert math.isfinite(rel) and rel >= 1e-10
+
+
+def test_riccati_node_cap_bounds_a_large_start(monkeypatch, std_kernel):
+    # a start table at or above the cap is cut to half of it, so the finest
+    # table integrated still has the cap's 16 steps
+    monkeypatch.setattr(rate_module, "_RICCATI_MAX_NODES", 16)
+    assert rate_module._riccati_start_steps(1e-6, 1.0, 1.0) == 8
+    with pytest.raises(RuntimeError, match="did not converge") as info:
+        build_rate(std_kernel)
+    assert str(info.value).endswith("17 nodes")
 
 
 class TestRateCoeff:
@@ -172,6 +182,49 @@ class TestRateCoeff:
             rate_coeff(std_rate, -0.01)
         with pytest.raises(ValueError, match="outside certified range"):
             rate_coeff(std_rate, math.inf)
+
+    def test_bitwise_equal_to_polyval_and_table(self, wide_rate):
+        # the in-place Horner must give npoly.polyval's bits, on an array
+        # that mixes r = 0, the series range and the table's tail, on an
+        # all-series array and point by point
+        sigma2 = wide_rate.params.sigma ** 2
+        r_switch = (4.0 * sigma2 * sigma2 * wide_rate.x_switch) ** 0.25
+        grid = np.concatenate([
+            [0.0, r_switch, wide_rate.r_max],
+            np.linspace(0.0, wide_rate.r_max, 2001),
+            np.geomspace(1e-300, r_switch, 200),
+        ])
+        x = grid**4 / (4.0 * sigma2 * sigma2)
+        series = x <= wide_rate.x_switch
+        expected = np.zeros(grid.shape)
+        expected[series] = grid[series] ** 2 / sigma2 * npoly.polyval(
+            x[series], wide_rate.c[1:]
+        )
+        tail = ~series
+        expected[tail] = sigma2 * wide_rate._w_interp(grid[tail]) / grid[tail]
+        assert series.any() and tail.any()
+        assert np.array_equal(rate_coeff(wide_rate, grid), expected)
+        assert np.array_equal(rate_coeff(wide_rate, grid[series]), expected[series])
+        pointwise = [rate_coeff(wide_rate, float(v)) for v in grid[::7]]
+        assert np.array_equal(pointwise, expected[::7])
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (math.nan, "non-finite"),
+            (math.inf, "non-finite"),
+            (-math.inf, "non-finite"),
+            (-5e-324, r"\[0, 1.0\]"),
+            (np.nextafter(1.0, 2.0), r"\[0, 1.0\]"),
+        ],
+    )
+    def test_one_bad_entry_in_array_raises(self, std_rate, bad, message):
+        for where in (0, 17, 63):
+            r = np.linspace(0.0, 1.0, 64)
+            r[where] = bad
+            with pytest.raises(ValueError, match="outside certified range") as info:
+                rate_coeff(std_rate, r)
+            assert info.match(message)
 
 
 class TestFeedback:

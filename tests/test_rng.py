@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjb_planner.rng import normals
 
@@ -65,3 +67,42 @@ def test_validation():
         normals(0, [0], -1, 2)
     with pytest.raises(ValueError):
         normals(0, [0], 0, 0)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    paths=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    n_components=st.integers(1, 7),
+    n_steps=st.integers(1, 64),
+    start=st.integers(0, 2**32 - 1),
+    at_end=st.booleans(),
+)
+@example(
+    seed=2**64 - 1, paths=[2**32, 2**64 - 1, 5], n_components=5, n_steps=64,
+    start=0, at_end=True,
+)
+@settings(max_examples=150, deadline=None)
+def test_step_block_rows_are_the_single_step_draws(
+    seed, paths, n_components, n_steps, start, at_end
+):
+    # path indices reach past 2^32 (the counter's high word) and, with
+    # at_end, the block's last step is 2^32 - 1
+    step = 2**32 - n_steps if at_end else min(start, 2**32 - n_steps)
+    block = normals(seed, paths, step, n_components, n_steps=n_steps)
+    assert block.shape == (len(paths), n_steps, n_components)
+    for k in range(n_steps):
+        single = normals(seed, paths, step + k, n_components)
+        assert np.array_equal(block[:, k], single)
+
+
+def test_step_block_of_one_is_the_single_step():
+    block = normals(3, np.arange(5), 11, 3, n_steps=1)
+    assert np.array_equal(block[:, 0], normals(3, np.arange(5), 11, 3))
+
+
+def test_step_block_validation():
+    with pytest.raises(ValueError):
+        normals(0, [0], 2**32 - 2, 2, n_steps=3)  # steps 2^32-2 .. 2^32
+    with pytest.raises(ValueError):
+        normals(0, [0], 0, 2, n_steps=0)
+    assert normals(0, [0], 2**32 - 3, 2, n_steps=3).shape == (1, 3, 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hjb_planner import ModelParams, build_kernel, build_rate, expected_optimal_cost
+from hjb_planner import simulate as simulate_module
 from hjb_planner.rng import normals
 from hjb_planner.simulate import SimConfig, _run_paths, euler_path, monte_carlo_cost
 
@@ -116,6 +117,50 @@ class TestBatchEngine:
             assert single.tau == tau[i]
             assert single.cost == cost[i]
             assert np.array_equal(single.y_final, y_final[i])
+
+    def test_pinned_costs_are_bitwise_stable(self, std_rate):
+        # exact floats of the one-step-at-a-time engine; step-blocked draws
+        # and the in-place rho must not move a bit
+        assert monte_carlo_cost(std_rate, cfg_origin(n_paths=200, seed=42)) == (
+            0.12292715369426332, 0.006237990311086364, 200,
+        )
+        rate100 = build_rate(build_kernel(ModelParams(100, 1.0, 1.0), r_max=1.0))
+        cfg100 = cfg_origin(n_paths=200, dt=1e-4, seed=7, dim=100)
+        assert monte_carlo_cost(rate100, cfg100) == (
+            0.004958740516553915, 6.0156829130218264e-05, 200,
+        )
+
+    @pytest.mark.parametrize(
+        "dim,y0_scale,max_steps,n_paths",
+        [(2, 0.0, 100_000, 40), (5, 0.3, 100_000, 30), (2, 0.0, 37, 12)],
+    )
+    def test_step_blocks_do_not_change_paths(
+        self, monkeypatch, dim, y0_scale, max_steps, n_paths
+    ):
+        rate = build_rate(build_kernel(ModelParams(dim, 1.0, 1.0), r_max=1.0))
+        cfg = SimConfig(
+            dt=1e-3, max_steps=max_steps, n_paths=n_paths, seed=8,
+            y0=np.full(dim, y0_scale / math.sqrt(dim)),
+        )
+        idx = np.arange(n_paths, dtype=np.uint64)
+        traced = frozenset({0, 3})
+        draws = []
+
+        def recording_normals(seed, paths, step, n_components, n_steps=None):
+            draws.append((step, n_steps))
+            return normals(seed, paths, step, n_components, n_steps)
+
+        monkeypatch.setattr(simulate_module, "normals", recording_normals)
+        blocked = _run_paths(rate, cfg, idx, trace_paths=traced, trace_stride=3)
+        assert max(k for _, k in draws) > 1
+        assert all(step + k <= max_steps for step, k in draws)
+        monkeypatch.setattr(simulate_module, "_DRAW_BUDGET", 1)
+        draws.clear()
+        single = _run_paths(rate, cfg, idx, trace_paths=traced, trace_stride=3)
+        assert {k for _, k in draws} == {1}
+        for a, b in zip(blocked[:4], single[:4]):
+            assert np.array_equal(a, b)
+        assert blocked[4] == single[4]
 
 
 class TestMonteCarlo:

@@ -188,6 +188,24 @@ class TestCli:
         assert cells[5] == "77"  # config beats default
         assert cells[3] == "24"
 
+    @pytest.mark.parametrize(
+        "word,traced", [("false", False), ("true", True), ("Off", False)]
+    )
+    def test_simulate_config_trace_boolean(self, tmp_path, capsys, word, traced):
+        # bool("false") is True: config words must be parsed, not truth-tested
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"paths=4\nmax_steps=2000\ndt=1e-2\ntrace={word}\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert bool(sorted(out.glob("trace_path*.csv"))) is traced
+
+    def test_simulate_config_trace_rejects_unknown_word(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("paths=4\ntrace=maybe\n")
+        with pytest.raises(SystemExit, match="trace"):
+            main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "s")])
+        assert not (tmp_path / "s").exists()
+
     def test_verify_exit_status(self, tmp_path, capsys):
         code = main(
             ["verify", "--n", "2", "--sigma", "1", "--radius", "1",
