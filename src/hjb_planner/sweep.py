@@ -6,7 +6,8 @@ file is reproducible by calling the library operations with the same
 parameters.  File writes are atomic (temp + rename) and floats carry 17
 significant digits, so reruns with identical parameters produce
 byte-identical outputs.  The HJB_PLANNER_THREADS environment variable caps
-how many sweep/verify cells run concurrently (default 1, serial).
+how many sweep/verify cells run concurrently (unset means 1, serial; any
+other value must be a positive integer).
 """
 
 from __future__ import annotations
@@ -55,11 +56,18 @@ PICARD_BOUND_SLACK = 1e-9  # relative quadrature slack on the factorial envelope
 
 
 def _thread_cap() -> int:
-    raw = os.environ.get("HJB_PLANNER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """HJB_PLANNER_THREADS as a positive integer; 1 when it is unset.
+
+    Raises:
+        ValueError: naming the variable and its value, for any set value
+            that is not a positive decimal integer.
+    """
+    raw = os.environ.get("HJB_PLANNER_THREADS")
+    if raw is None:
         return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"HJB_PLANNER_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _map_cells(fn, cells):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hjb_planner import (
     build_kernel,
     build_rate,
     envelope,
+    eval_log_u,
+    eval_log_u_prime,
     eval_u,
     eval_u_prime,
     feedback,
@@ -66,38 +69,23 @@ class TestQuotientCoefficients:
             scale = max(abs(rate.c[j]), j * a[j], float(np.sum(np.abs(terms))), 1e-300)
             assert abs(residual) <= 1e-13 * scale
 
-    def test_breakdown_for_huge_trust_region(self, std_kernel):
+    def test_breakdown_for_huge_trust_region(self, monkeypatch, std_kernel):
         # far beyond the quotient's convergence radius the tail never decays
+        monkeypatch.setattr(rate_module, "X_SWITCH", 1e6)
         with pytest.raises(RuntimeError, match="quotient series breakdown"):
-            build_rate(std_kernel, x_switch=1e6)
-
-    def test_rejects_bad_x_switch(self, std_kernel):
-        with pytest.raises(ValueError):
-            build_rate(std_kernel, x_switch=-0.5)
+            build_rate(std_kernel)
 
 
-def test_riccati_node_cap_raises_with_achieved_rel(monkeypatch, std_kernel):
-    # with a tiny cap the table stays unconverged and must not be accepted
-    # silently: the stability rule starts at half the cap (8 steps) and the
-    # one doubling it allows reaches the cap, 16 steps, 17 nodes
-    monkeypatch.setattr(rate_module, "_RICCATI_START_NODES", 8)
-    monkeypatch.setattr(rate_module, "_RICCATI_MAX_NODES", 16)
-    with pytest.raises(RuntimeError, match="did not converge") as info:
-        build_rate(std_kernel)
-    message = str(info.value)
-    assert message.endswith("17 nodes")
-    rel = float(message.split("relative change ")[1].split()[0])
-    assert math.isfinite(rel) and rel >= 1e-10
+def test_solver_failure_raises_with_its_message(monkeypatch, wide_kernel):
+    def failing_solve_ivp(*args, **kwargs):
+        return SimpleNamespace(success=False, message="stub: step size too small")
 
-
-def test_riccati_node_cap_bounds_a_large_start(monkeypatch, std_kernel):
-    # a start table at or above the cap is cut to half of it, so the finest
-    # table integrated still has the cap's 16 steps
-    monkeypatch.setattr(rate_module, "_RICCATI_MAX_NODES", 16)
-    assert rate_module._riccati_start_steps(1e-6, 1.0, 1.0) == 8
-    with pytest.raises(RuntimeError, match="did not converge") as info:
-        build_rate(std_kernel)
-    assert str(info.value).endswith("17 nodes")
+    monkeypatch.setattr(rate_module, "solve_ivp", failing_solve_ivp)
+    with pytest.raises(
+        RuntimeError,
+        match="logarithmic-derivative integration failed: stub: step size too small",
+    ):
+        build_rate(wide_kernel)
 
 
 class TestRateCoeff:
@@ -127,12 +115,11 @@ class TestRateCoeff:
 
     def test_series_and_fallback_paths_agree_on_overlap(self, wide_rate):
         # quotient series vs integrated logarithmic derivative across
-        # [x_switch/2, x_switch]
-        params = wide_rate.params
+        # [x_switch/2, x_switch], both in s = r/sigma
         x = np.linspace(wide_rate.x_switch / 2, wide_rate.x_switch, 41)
-        r = (4.0 * params.sigma**4 * x) ** 0.25
-        quotient = 4.0 * params.sigma**2 * npoly.polyval(x, wide_rate.c) / r**2
-        fallback = params.sigma**2 * wide_rate._w_interp(r) / r
+        s = (4.0 * x) ** 0.25
+        quotient = 4.0 * npoly.polyval(x, wide_rate.c) / s**2
+        fallback = wide_rate._w_interp(s) / s
         assert np.max(np.abs(quotient - fallback) / fallback) < 1e-8
 
     def test_nondecreasing_and_capped(self, wide_rate):
@@ -187,26 +174,61 @@ class TestRateCoeff:
         # the in-place Horner must give npoly.polyval's bits, on an array
         # that mixes r = 0, the series range and the table's tail, on an
         # all-series array and point by point
-        sigma2 = wide_rate.params.sigma ** 2
-        r_switch = (4.0 * sigma2 * sigma2 * wide_rate.x_switch) ** 0.25
+        sigma = wide_rate.params.sigma
+        r_switch = sigma * (4.0 * wide_rate.x_switch) ** 0.25
         grid = np.concatenate([
             [0.0, r_switch, wide_rate.r_max],
             np.linspace(0.0, wide_rate.r_max, 2001),
             np.geomspace(1e-300, r_switch, 200),
         ])
-        x = grid**4 / (4.0 * sigma2 * sigma2)
+        s = grid / sigma
+        x = s**4 / 4.0
         series = x <= wide_rate.x_switch
         expected = np.zeros(grid.shape)
-        expected[series] = grid[series] ** 2 / sigma2 * npoly.polyval(
-            x[series], wide_rate.c[1:]
-        )
+        expected[series] = s[series] ** 2 * npoly.polyval(x[series], wide_rate.c[1:])
         tail = ~series
-        expected[tail] = sigma2 * wide_rate._w_interp(grid[tail]) / grid[tail]
+        expected[tail] = wide_rate._w_interp(s[tail]) / s[tail]
         assert series.any() and tail.any()
         assert np.array_equal(rate_coeff(wide_rate, grid), expected)
         assert np.array_equal(rate_coeff(wide_rate, grid[series]), expected[series])
         pointwise = [rate_coeff(wide_rate, float(v)) for v in grid[::7]]
         assert np.array_equal(pointwise, expected[::7])
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_r_max_one_ulp_either_side_of_the_switch(self, side):
+        # the table is built exactly when some certified r can reach it
+        sigma = 0.5
+
+        def past_switch(r):
+            return rate_module._x_of(np.asarray([r / sigma]))[0] > rate_module.X_SWITCH
+
+        r_edge = sigma * (4.0 * rate_module.X_SWITCH) ** 0.25
+        while past_switch(r_edge):
+            r_edge = np.nextafter(r_edge, 0.0)
+        while not past_switch(np.nextafter(r_edge, 1.0)):
+            r_edge = np.nextafter(r_edge, 1.0)
+        r_max = float(r_edge if side < 0 else np.nextafter(r_edge, 1.0))
+        rate = build_rate(build_kernel(ModelParams(2, sigma, 0.5), r_max=r_max))
+        assert (rate.riccati_r.size > 0) == (side > 0)
+        grid = np.linspace(0.0, r_max, 33)
+        rho = rate_coeff(rate, grid)
+        assert np.all(np.isfinite(rho)) and np.all(np.diff(rho) >= 0.0)
+        assert rate_coeff(rate, r_max) == rho[-1]
+
+    @pytest.mark.parametrize(
+        "n,sigma,r_max,points",
+        [(n, sigma, 4.0 * sigma, 400) for n in (1, 2, 10, 100, 1000) for sigma in (0.5, 2.0)]
+        + [(1, 1.0, 80.0, 200)],
+    )
+    def test_tail_matches_log_space_kernel_ratio(self, n, sigma, r_max, points):
+        # independent route: the log-space kernel series shares no code
+        # with the quotient series or the table
+        kernel = build_kernel(ModelParams(n, sigma, 1.0), r_max=r_max)
+        rate = build_rate(kernel)
+        r_switch = sigma * (4.0 * rate.x_switch) ** 0.25
+        r = np.linspace(r_switch, r_max, points)[1:]
+        direct = sigma**2 * np.exp(eval_log_u_prime(kernel, r) - eval_log_u(kernel, r)) / r
+        assert np.max(np.abs(rate_coeff(rate, r) - direct) / direct) < 1e-9
 
     @pytest.mark.parametrize(
         "bad,message",

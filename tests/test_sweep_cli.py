@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from hjb_planner import SweepSpec, run_simulate, run_verify, sweep_rate
 from hjb_planner.cli import main
 from hjb_planner.simulate import SimConfig
+from hjb_planner.sweep import _thread_cap
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,18 @@ class TestSweep:
         sweep_rate(threaded_spec)
         assert (tmp_path / "rate_sweep.csv").read_bytes() == serial
 
+    def test_thread_cap_unset_is_serial(self, monkeypatch):
+        monkeypatch.delenv("HJB_PLANNER_THREADS", raising=False)
+        assert _thread_cap() == 1
+        monkeypatch.setenv("HJB_PLANNER_THREADS", "3")
+        assert _thread_cap() == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "4x", "0", "-3", ""])
+    def test_thread_cap_rejects_non_positive_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("HJB_PLANNER_THREADS", raw)
+        with pytest.raises(ValueError, match=f"HJB_PLANNER_THREADS .* got '{raw}'"):
+            _thread_cap()
+
 
 class TestRunVerify:
     def test_small_scope_passes(self, tmp_path, capsys):
@@ -154,6 +169,17 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "r,rate"
         assert float(out[1].split(",")[1]) == pytest.approx(0.24249961258080194)
+
+    def test_rate_at_zero_radius(self, capsys):
+        assert main(["rate", "--n", "2", "--sigma", "1", "--r", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["r,rate", "0,0"]
+
+    def test_rate_at_tiny_radius(self, capsys):
+        assert main(["rate", "--n", "2", "--sigma", "1", "--r", "1e-200"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "r,rate" and len(out) == 2
+        rho = float(out[1].split(",")[1])
+        assert math.isfinite(rho) and rho >= 0.0
 
     def test_cost_boundary_is_zero(self, capsys):
         assert main(
