@@ -16,7 +16,11 @@ series evaluation:
   convergence certificate.
 
 * ode_solve: direct high-order integration of the second-order radial ODE,
-  usable wherever u itself stays inside double range.
+  usable wherever u itself stays inside double range.  It starts at a
+  radius r0 from a four-term local series built from the ODE's own
+  coefficient recurrence, so the integrator never steps through the stiff
+  (N-1)/r stretch next to the origin; grid points inside r0 take the
+  series value.
 
 * verify_exact_4d: two closed-form four-dimensional solutions
   exp(+-r^2/(2 sigma^2)) / r^2 whose ODE residual is algebraically zero,
@@ -45,6 +49,8 @@ MARGIN_FLOOR = -1e-12
 _QUAD_SELF_CONSISTENCY = 1e-10
 _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
+_START_REL = 1e-18  # largest relative size of the first omitted term at r0
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps  # DOP853 clamps rtol below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +62,8 @@ class RadialGridFn:
     meta: str  # origin tag: picard | ode | exact4d
     sup_diffs: tuple[float, ...] | None = None  # picard successive sup-differences
     refinement_level: int | None = None  # picard: level the refinement stopped at
+    nfev: int | None = None  # ode: right-hand-side evaluations
+    series_points: int | None = None  # ode: grid points filled from the local series
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
@@ -250,15 +258,31 @@ def ode_solve(
 ) -> RadialGridFn:
     """Direct integration of u'' + (N-1)/r u' = r^2 u / sigma^4.
 
-    Starts from a two-term series expansion at a tiny positive radius (the
-    origin is a removable coordinate singularity) and integrates with an
-    adaptive 8th-order Runge-Kutta method at local tolerance step_tol.
+    The origin is a removable coordinate singularity and (N-1)/r makes the
+    equation stiff near it, so the profile starts from the local series
+    u = alpha sum_(j<4) a_j x^j, x = r^4/(4 sigma^4), with a_j built from
+    the ODE's own recurrence.  The start radius r0 is the largest radius
+    where the first omitted term is at most 1e-18 relative for both u
+    and u' (a_4 x^4 and 4 a_4 x^3 / a_1), capped at r_max/2 so at least
+    half the range is integrated.  Grid points at r <= r0 take the series
+    value; the rest come from an adaptive 8th-order Runge-Kutta method
+    (DOP853) on (r0, r_max] at relative tolerance step_tol.  nfev counts
+    right-hand-side evaluations (0 when every grid point lies within r0)
+    and series_points the grid points filled from the series.
 
     Raises:
+        ValueError: step_tol not finite or below the integrator's relative
+            tolerance floor of 100 machine epsilons.
         RuntimeError: "direct integration range exceeded" when the growth
             bound says u(r_max) would overflow double precision (use the
             logarithmic-derivative route instead).
     """
+    step_tol = float(step_tol)
+    if not (math.isfinite(step_tol) and step_tol >= _RTOL_FLOOR):
+        raise ValueError(
+            f"step_tol must be finite and >= {_RTOL_FLOOR:.3e} "
+            f"(100 machine epsilons, the DOP853 rtol floor), got {step_tol!r}"
+        )
     r_max = float(r_max)
     n = params.n_goods
     sigma4 = params.sigma**4
@@ -274,39 +298,47 @@ def ode_solve(
     if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
         raise ValueError("grid must be strictly increasing from 0 within [0, r_max]")
 
-    positive = grid[grid > 0.0]
-    r_eps = min(1e-6 * max(1.0, r_max), 0.5 * positive[0]) if positive.size else 1e-6
+    # a_0..a_4 of u = alpha sum_j a_j x^j; a_4 is the first term left out
+    a = [1.0]
+    for j in range(1, 5):
+        a.append(a[-1] / (j * (n + 4 * j - 2)))
+    a0, a1, a2, a3, a4 = a
+    x0 = min((_START_REL / a4) ** 0.25, (_START_REL * a1 / (4.0 * a4)) ** (1.0 / 3.0))
+    r0 = min((4.0 * sigma4 * x0) ** 0.25, 0.5 * r_max)
 
-    def two_term(r: np.ndarray):
+    def local_series(r):
         x = r**4 / (4.0 * sigma4)
-        u = params.alpha * (1.0 + x / (n + 2))
-        up = params.alpha * r**3 / (sigma4 * (n + 2))
+        u = params.alpha * (a0 + x * (a1 + x * (a2 + x * a3)))
+        up = params.alpha * r**3 / sigma4 * (a1 + x * (2.0 * a2 + x * 3.0 * a3))
         return u, up
 
     def rhs(r, y):
         u, up = y
         return [up, r * r * u / sigma4 - (n - 1) * up / r]
 
-    u0, up0 = two_term(np.asarray(r_eps))
-    t_eval = grid[grid >= r_eps]
-    sol = solve_ivp(
-        rhs,
-        (r_eps, r_max),
-        [float(u0), float(up0)],
-        method="DOP853",
-        rtol=step_tol,
-        atol=1e-30,
-        t_eval=t_eval if t_eval.size else None,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"radial ODE integration failed: {sol.message}")
-
+    head = grid <= r0
     values = np.empty(grid.shape)
-    head = grid < r_eps
-    values[head], _ = two_term(grid[head])
-    values[~head] = sol.y[0]
-    return RadialGridFn(grid, values, "ode")
+    values[head], _ = local_series(grid[head])
+    nfev = 0
+    if not np.all(head):
+        u0, up0 = local_series(r0)
+        sol = solve_ivp(
+            rhs,
+            (r0, r_max),
+            [u0, up0],
+            method="DOP853",
+            rtol=step_tol,
+            atol=1e-30,
+            t_eval=grid[~head],
+            dense_output=False,
+        )
+        if not sol.success:
+            raise RuntimeError(f"radial ODE integration failed: {sol.message}")
+        values[~head] = sol.y[0]
+        nfev = int(sol.nfev)
+    return RadialGridFn(
+        grid, values, "ode", nfev=nfev, series_points=int(np.count_nonzero(head))
+    )
 
 
 def verify_exact_4d(sigma: float, which: str, grid) -> float:

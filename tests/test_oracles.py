@@ -1,3 +1,4 @@
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,82 @@ class TestOdeSolve:
     def test_overflow_range_refused(self):
         with pytest.raises(RuntimeError, match="direct integration range exceeded"):
             ode_solve(ModelParams(2, 0.5, 1.0), 20.0)
+
+    def test_cross_matches_series(self):
+        # the 40 cells of criterion 1, held far tighter than its 1e-8
+        worst = 0.0
+        for n in (1, 2, 4, 10, 100):
+            for sigma in (0.5, 1.0, 2.0, 5.0):
+                for radius in (1.0, 2.0):
+                    params = ModelParams(n, sigma, radius)
+                    grid = np.linspace(0.0, radius, 200)
+                    series = eval_u(build_kernel(params, r_max=radius), grid)
+                    got = ode_solve(params, radius, grid=grid)
+                    worst = max(worst, max_rel_diff(got.values, series))
+        assert worst <= 5e-11
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_large_n_matches_series(self, n):
+        for sigma in (0.5, 1.0, 2.0):
+            params = ModelParams(n, sigma, 1.0)
+            grid = np.linspace(0.0, 1.0, 200)
+            series = eval_u(build_kernel(params, r_max=1.0), grid)
+            got = ode_solve(params, 1.0, grid=grid)
+            assert max_rel_diff(got.values, series) <= 1e-13
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.0), (100, 0.5), (1000, 2.0)])
+    def test_head_is_the_four_term_series(self, n, sigma):
+        # a_j / a_(j-1) = 1/(j (N + 4j - 2)); r0 is where a_4 x^4 and
+        # 4 a_4 x^3 / a_1 reach 1e-18, here below the r_max/2 cap
+        a = [1.0]
+        for j in range(1, 5):
+            a.append(a[-1] / (j * (n + 4 * j - 2)))
+        x0 = min((1e-18 / a[4]) ** 0.25, (1e-18 * a[1] / (4 * a[4])) ** (1 / 3))
+        r0 = sigma * (4.0 * x0) ** 0.25
+        r_max = 4.0 * r0
+        grid = np.concatenate([[0.0, 1e-300, 1e-150], np.linspace(r0 / 50, r_max, 200)])
+        got = ode_solve(ModelParams(n, sigma, r_max), r_max, grid=grid)
+        head = grid <= r0
+        assert got.series_points == np.count_nonzero(head) > 3
+        x = grid[head] ** 4 / (4.0 * sigma**4)
+        expected = a[0] + a[1] * x + a[2] * x**2 + a[3] * x**3
+        np.testing.assert_allclose(got.values[head], expected, rtol=4e-16, atol=0.0)
+        assert got.values[1] == got.values[2] == 1.0
+        assert np.all(np.isfinite(got.values))
+        assert got.nfev > 0
+
+    def test_start_capped_at_half_range(self):
+        # uncapped, the start radius here is about 0.8
+        grid = np.linspace(0.0, 1.0, 201)
+        got = ode_solve(ModelParams(100, 5.0, 1.0), 1.0, grid=grid)
+        assert got.series_points == np.count_nonzero(grid <= 0.5) == 101
+        assert got.nfev > 0
+
+    def test_origin_only_grid(self):
+        got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[0.0])
+        assert got.values.tolist() == [1.0]
+        assert got.nfev == 0
+        assert got.series_points == 1
+
+    @pytest.mark.parametrize("step_tol", [0.0, -1.0, np.nan, np.inf, 2e-14])
+    def test_step_tol_below_floor_refused(self, step_tol):
+        with pytest.raises(ValueError, match="2.220e-14"):
+            ode_solve(ModelParams(2, 1.0, 1.0), 1.0, step_tol=step_tol)
+
+    def test_step_tol_at_floor_accepted(self):
+        floor = 100 * np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # scipy warns when it clamps rtol
+            got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, step_tol=floor, grid=GRID)
+        default = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
+        assert got.nfev > default.nfev
+
+    def test_observability_fields(self):
+        got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
+        assert 0 < got.series_points < GRID.size
+        assert got.nfev > 0
+        picard = picard_solve(ModelParams(2, 1.0, 1.0), GRID)
+        assert picard.nfev is None and picard.series_points is None
 
 
 class TestExact4d:
