@@ -27,6 +27,12 @@ series evaluation:
   evaluated with analytic derivatives so the fixture carries no
   discretization error at all.
 
+Test-only references for rho = sigma^2 u'/(r u), sharing no code with the
+rate module: quotient_rate, the rate's own power series in x with
+coefficients from exact-rational Cauchy division (finite convergence
+radius, so small x only); and riccati_rate, BDF on the Riccati equation
+W' = s^2 - W^2 - (N-1) W/s for W = d ln u/ds, s = r/sigma, rho = W/s.
+
 check_bounds sweeps the growth/slope/rate inequalities the kernel must
 satisfy and reports a signed relative margin per grid point.
 """
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,6 +58,8 @@ _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps  # DOP853 clamps rtol below this
+_RICCATI_S0 = 1e-6  # start of the Riccati solve, in s = r/sigma
+_RICCATI_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +348,61 @@ def ode_solve(
     return RadialGridFn(
         grid, values, "ode", nfev=nfev, series_points=int(np.count_nonzero(head))
     )
+
+
+def quotient_coeffs(n_goods: int, order: int) -> np.ndarray:
+    """c_0..c_order of sum_j j a_j x^j / sum_j a_j x^j by Cauchy division,
+    c_j = j a_j - sum_(i=1..j) c_(j-i) a_i, in exact rational arithmetic
+    rounded once per c_j (the convolution cancels heavily at large N; a
+    float recursion drifts to ~1e-9 relative by j ~ 30)."""
+    a = [Fraction(1)]
+    c = [Fraction(0)]
+    for j in range(1, order + 1):
+        a.append(a[j - 1] / (j * (n_goods + 4 * j - 2)))
+        c.append(j * a[j] - sum(c[j - i] * a[i] for i in range(1, j + 1)))
+    return np.asarray([float(cj) for cj in c])
+
+
+def quotient_rate(params: ModelParams, r, order: int = 40) -> np.ndarray:
+    """rho = s^2 sum_(j>=1) c_j x^(j-1), c = quotient_coeffs(N, order)."""
+    s = np.asarray(r, dtype=float) / params.sigma
+    c = quotient_coeffs(params.n_goods, order)
+    return s**2 * np.polynomial.polynomial.polyval(s**4 / 4.0, c[1:])
+
+
+def riccati_rate(params: ModelParams, r) -> np.ndarray:
+    """rho = W(s)/s at increasing radii r >= 1e-6 sigma, W = d ln u/ds.
+
+    One BDF solve (rtol 1e-12, analytic Jacobian) of
+    W' = s^2 - W^2 - (N-1) W/s from W = s0^3/(N+2) at s0 = 1e-6,
+    reporting W straight at the requested points.
+
+    Raises:
+        RuntimeError: "logarithmic-derivative integration failed", naming
+            the solver's message.
+    """
+    s = np.asarray(r, dtype=float) / params.sigma
+    n_minus_1 = float(params.n_goods - 1)
+
+    def rhs(s, w):
+        return s * s - w * w - n_minus_1 * w / s
+
+    def jac(s, w):
+        return np.array([[-2.0 * w[0] - n_minus_1 / s]])
+
+    sol = solve_ivp(
+        rhs,
+        (_RICCATI_S0, s[-1]),
+        [_RICCATI_S0**3 / (params.n_goods + 2)],
+        method="BDF",
+        jac=jac,
+        t_eval=s,
+        rtol=_RICCATI_RTOL,
+        atol=0.0,
+    )
+    if not sol.success:
+        raise RuntimeError(f"logarithmic-derivative integration failed: {sol.message}")
+    return sol.y[0] / s
 
 
 def verify_exact_4d(sigma: float, which: str, grid) -> float:

@@ -5,74 +5,51 @@ rate times its inventory deviation,
 
     p_i = rho(|y|) * y_i,      rho(r) = sigma^2 u'(r) / (r u(r)),
 
-with rho(0) = 0 by the series limit.  The kernel depends on r only through
-s = r/sigma, so rho(r; N, sigma) = g_N(r/sigma) and both routes below work
-in s.  rho is evaluated two ways:
+with rho(0) = 0 by the series limit.  With s = r/sigma, x = s^4/4,
+A(x) = sum_j a_j x^j and B(x) = sum_j j a_j x^(j-1), the rate is a ratio
+of two series the kernel already stores: rho = s^2 B(x) / A(x).  All a_j
+are positive, so neither sum cancels.  For x <= HORNER_X_MAX (the split
+the kernel evaluators use) both sums run Horner's rule; beyond it A and B
+overflow long before the certified range ends, so the ratio is taken over
+weights normalized in log space,
 
-* quotient series: g_N(s) = s^2 sum_{j>=1} c_j x^(j-1) with x = s^4/4,
-  where the c_j come from Cauchy division of the derivative series by the
-  kernel series (c_0 = 0, c_j = b_j - sum_{i=1..j} c_{j-i} a_i,
-  b_j = j a_j).  The division has a finite, unknown convergence radius, so
-  this path is trusted only for x <= X_SWITCH.
+    rho = (4/s^2) sum_j j w_j / sum_j w_j,
+    w_j = exp(ln a_j + j ln x - max_k (ln a_k + k ln x)),  ln x = 4 ln s - ln 4.
 
-* logarithmic-derivative table: W = d ln u / ds solves the sigma-free
-  Riccati equation W' = s^2 - W^2 - (N-1) W/s, stiff near s = 0 through
-  the (N-1)/s term.  One BDF solve (rtol 1e-12, analytic Jacobian) from
-  the series start W = s^3/(N+2) at s = 1e-6 fills a fixed geometric grid
-  behind a cubic Hermite spline, and g_N(s) = W(s)/s.  It is built only
-  when x(r_max) > X_SWITCH, and it never forms u itself, so it cannot
-  overflow at large radii.
-
-Both paths are pure functions of immutable build products and are safe for
+Evaluation is a pure function of immutable build products and is safe for
 unsynchronized concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .fileio import write_csv
 from .params import ModelParams
-from .series import SeriesKernel
+from .series import HORNER_X_MAX, SeriesKernel
 
-# Trust region of the quotient series, in x = s^4/4.
-X_SWITCH = 0.5
-
-# The quotient coefficients decay only geometrically (the division has a
-# finite convergence radius), so they need more terms than the factorially
-# decaying kernel series; built until the tail at X_SWITCH is negligible.
-_QUOTIENT_MIN_ORDER = 40
-_QUOTIENT_MAX_ORDER = 400
-_QUOTIENT_TAIL_TOL = 1e-17
-
-_RICCATI_S0 = 1e-6
-_RICCATI_NODES = 4097
-_RICCATI_RTOL = 1e-12
+# Elements per block of the log-space branch's (points, terms) matrix, so
+# scratch memory stays O(points) however long the kernel is.
+_LOG_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class RateSeries:
-    """Build products needed to evaluate rho(r) on [0, r_max].
-
-    c is the quotient-series coefficient vector (c[0] == 0,
-    c[1] == 1/(N+2)), trusted for x <= x_switch.  riccati_r holds the
-    logarithmic-derivative table's nodes as radii, and _w_interp the
-    spline of W(s) used beyond x_switch; both are empty (and None) when
-    x(r_max) <= x_switch, where no point needs the table.
-    """
+    """The kernel's a_j (c), j a_j (b) and ln a_j (log_a), bound for
+    evaluating rho on [0, r_max]; x_switch is the Horner/log-space split in
+    x.  riccati_r is always empty, kept only for perfbench/layers.py, which
+    counts the nodes of the retired Riccati table."""
 
     params: ModelParams
     c: np.ndarray
+    b: np.ndarray
+    log_a: np.ndarray
     x_switch: float
     riccati_r: np.ndarray
     r_max: float
-    _w_interp: CubicHermiteSpline | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,110 +59,29 @@ class ControlVector:
     p: np.ndarray
 
 
-def _x_of(s: np.ndarray) -> np.ndarray:
-    """x = s^4/4 for an array of s; build_rate and rate_coeff both decide
-    table use from this one formula."""
-    x = np.power(s, 4.0)
-    x /= 4.0
-    return x
-
-
-def _riccati_spline(n_goods: int, s_max: float) -> tuple[np.ndarray, CubicHermiteSpline]:
-    """Spline of W = d ln u / ds on a geometric grid from _RICCATI_S0 to s_max."""
-    n_minus_1 = float(n_goods - 1)
-
-    def rhs(s, w):
-        return s * s - w * w - n_minus_1 * w / s
-
-    def jac(s, w):
-        return np.array([[-2.0 * w[0] - n_minus_1 / s]])
-
-    nodes = np.geomspace(_RICCATI_S0, s_max, _RICCATI_NODES)
-    sol = solve_ivp(
-        rhs,
-        (nodes[0], nodes[-1]),
-        [_RICCATI_S0**3 / (n_goods + 2)],
-        method="BDF",
-        jac=jac,
-        t_eval=nodes,
-        rtol=_RICCATI_RTOL,
-        atol=0.0,
-    )
-    if not sol.success:
-        raise RuntimeError(f"logarithmic-derivative integration failed: {sol.message}")
-    w = sol.y[0]
-    return nodes, CubicHermiteSpline(nodes, w, rhs(nodes, w))
-
-
 def build_rate(kernel: SeriesKernel) -> RateSeries:
-    """Derive quotient coefficients, and the table when needed, from a kernel.
-
-    The logarithmic-derivative table is integrated only when
-    x(r_max) = (r_max/sigma)^4/4 exceeds X_SWITCH; below that every point
-    of [0, r_max] is in the quotient series' trust region.
-
-    Raises:
-        RuntimeError: "quotient series breakdown" if the division recursion
-            produces non-finite coefficients or its tail does not decay at
-            X_SWITCH; "logarithmic-derivative integration failed", naming
-            the solver's message, if the BDF solve fails.
-    """
-    params = kernel.params
-    n = params.n_goods
-
-    # Division recursion in exact rational arithmetic, rounded to float64
-    # once per coefficient: the convolution b_j - sum c_{j-i} a_i cancels
-    # heavily at large N and a float-native recursion drifts to ~1e-9
-    # relative by j ~ 30.  The c_j tail at X_SWITCH must die out well before
-    # the order cap, otherwise X_SWITCH sits at or beyond the quotient's
-    # convergence radius.
-    a_exact = [Fraction(1)]
-    c_exact = [Fraction(0)]
-    c = [0.0]
-    log_xs = math.log(X_SWITCH)
-    log_tol = math.log(_QUOTIENT_TAIL_TOL)
-    log_largest = -math.inf
-    order = None
-    for j in range(1, _QUOTIENT_MAX_ORDER + 1):
-        a_exact.append(a_exact[j - 1] / (j * (n + 4 * j - 2)))
-        conv = sum(c_exact[j - i] * a_exact[i] for i in range(1, j + 1))
-        c_exact.append(j * a_exact[j] - conv)
-        c.append(float(c_exact[j]))
-        if c[j] == 0.0:
-            continue
-        log_term = math.log(abs(c[j])) + j * log_xs
-        log_largest = max(log_largest, log_term)
-        if j >= _QUOTIENT_MIN_ORDER and log_term < log_largest + log_tol:
-            order = j
-            break
-    if order is None or not all(map(math.isfinite, c)):
-        raise RuntimeError(f"quotient series breakdown: no decaying tail at x_switch {X_SWITCH}")
-
-    r_max = kernel.r_max
-    s_max = r_max / params.sigma
-    nodes, interp = np.empty(0), None
-    if _x_of(np.asarray([s_max]))[0] > X_SWITCH:
-        nodes, interp = _riccati_spline(n, s_max)
+    """Bind a kernel's coefficient arrays for rate evaluation; computes nothing."""
     return RateSeries(
-        params=params,
-        c=np.asarray(c),
-        x_switch=X_SWITCH,
-        riccati_r=params.sigma * nodes,
-        r_max=r_max,
-        _w_interp=interp,
+        params=kernel.params,
+        c=kernel._a,
+        b=kernel._b,
+        log_a=kernel.log_a,
+        x_switch=HORNER_X_MAX,
+        riccati_r=np.empty(0),
+        r_max=kernel.r_max,
     )
 
 
 def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
-    """rho(r) = sigma^2 u'(r) / (r u(r)), with rho(0) = 0.
+    """rho(r) = sigma^2 u'(r) / (r u(r)) = s^2 B(x)/A(x), with rho(0) = 0.
 
-    Both branches work in s = r/sigma: the quotient series for
-    x = s^4/4 <= x_switch, the logarithmic-derivative table beyond.
-    Nondecreasing in r and bounded by 1 on the certified range.  This is
-    the one validated route, and the Euler loop calls it on every step:
-    validation is one min/max pair, the table is consulted only when x at
-    the largest r exceeds x_switch, and the series runs Horner's rule in
-    place, bit for bit ``npoly.polyval`` but with no per-term allocation.
+    Horner for x = s^4/4 <= x_switch, the normalized log-space weights
+    beyond.  Nondecreasing in r and bounded by 1 on the certified range.
+    The Euler loop calls this on every step: validation is one min/max
+    pair, the log-space branch runs only when x at the largest r exceeds
+    x_switch, and Horner runs in place, bit for bit
+    ``s**2 * npoly.polyval(x, b[1:]) / npoly.polyval(x, c)`` but with no
+    per-term allocation.
 
     Raises:
         ValueError: "evaluation outside certified range" for r outside
@@ -203,34 +99,60 @@ def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
         raise ValueError(f"evaluation outside certified range [0, {rate.r_max}]")
 
     s = arr / rate.params.sigma
-    x = _x_of(s)
-    # x is nondecreasing in r: the largest x, x(max r), decides alone
-    # whether the table is needed at all; it exists whenever x(r_max) does
-    # exceed x_switch
+    x = np.power(s, 4.0)
+    x /= 4.0
+    # x is nondecreasing in r, so x(max r) alone decides whether any point
+    # leaves the Horner range
     if x.max() <= rate.x_switch:
-        out = _quotient_series(rate.c, s, x)
+        out = _horner_ratio(rate, s, x)
     else:
-        out = np.zeros(arr.shape)
-        series = x <= rate.x_switch
-        if np.any(series):
-            out[series] = _quotient_series(rate.c, s[series], x[series])
-        tail = ~series
-        out[tail] = rate._w_interp(s[tail]) / s[tail]
+        out = np.empty(arr.shape)
+        near = x <= rate.x_switch
+        if np.any(near):
+            out[near] = _horner_ratio(rate, s[near], x[near])
+        far = ~near
+        out[far] = _log_space_ratio(rate, s[far])
     return float(out[0]) if scalar else out
 
 
-def _quotient_series(c: np.ndarray, s: np.ndarray, x: np.ndarray):
-    """(4/s^2) sum_j c_j x^j = s^2 sum_j c_j x^(j-1), with x = s^4/4.
+def _horner_ratio(rate: RateSeries, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s^2 B(x)/A(x) by in-place Horner; x is overwritten and returned.
 
-    Division-free, so the s -> 0 limit comes out as exactly 0.  Horner's
-    rule runs in place, the same operations in the same order as
-    ``npoly.polyval(x, c[1:])``; x is overwritten and returned."""
-    acc = np.full(x.shape, c[-1])
-    for cj in c[-2:0:-1]:
-        acc *= x
-        acc += cj
+    Division-free in s, so the s -> 0 limit comes out as exactly 0."""
+    num = np.full(x.shape, rate.b[-1])
+    for bj in rate.b[-2:0:-1]:
+        num *= x
+        num += bj
+    den = np.full(x.shape, rate.c[-1])
+    for aj in rate.c[-2::-1]:
+        den *= x
+        den += aj
     out = np.multiply(s, s, out=x)
-    out *= acc
+    out *= num
+    out /= den
+    return out
+
+
+def _log_space_ratio(rate: RateSeries, s: np.ndarray) -> np.ndarray:
+    """(4/s^2) sum_j j w_j / sum_j w_j over weights normalized by their
+    largest, in blocks of at most _LOG_BLOCK matrix elements.  Each point's
+    bits depend on its own s only."""
+    log_x = 4.0 * np.log(s) - math.log(4.0)
+    j = np.arange(rate.log_a.size, dtype=float)
+    out = np.empty(s.shape)
+    rows = max(1, _LOG_BLOCK // j.size)
+    for lo in range(0, s.size, rows):
+        w = np.multiply.outer(log_x[lo : lo + rows], j)
+        w += rate.log_a
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        den = w.sum(axis=1)
+        w *= j
+        # row sums, not a matrix product: BLAS would sum a row in an order
+        # that depends on how many rows share the call
+        out[lo : lo + rows] = w.sum(axis=1) / den
+    out *= 4.0
+    out /= s * s
     return out
 
 

@@ -42,6 +42,9 @@ _TRUNCATION_CAP = 2000
 
 _DEFAULT_TERM_TOL = 1e-15
 
+# Horner for x <= HORNER_X_MAX, where the terms decay; log-sum-exp beyond.
+HORNER_X_MAX = 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class SeriesKernel:
@@ -193,7 +196,7 @@ def eval_u(kernel: SeriesKernel, r) -> float | np.ndarray:
     arr, scalar = _as_radii(kernel, r)
     x = _x_of(kernel, arr)
     out = np.empty(arr.shape)
-    small = x <= 1.0
+    small = x <= HORNER_X_MAX
     if np.any(small):
         out[small] = kernel.params.alpha * _series_sum(kernel, x[small])
     big = ~small
@@ -236,7 +239,7 @@ def eval_log_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
     x = _x_of(kernel, arr)
     out = np.full(arr.shape, -math.inf)
     pos = arr > 0.0
-    small = pos & (x <= 1.0)
+    small = pos & (x <= HORNER_X_MAX)
     if np.any(small):
         out[small] = (
             math.log(kernel.params.alpha)
@@ -244,7 +247,7 @@ def eval_log_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
             - 4.0 * math.log(kernel.params.sigma)
             + np.log(npoly.polyval(x[small], kernel._b[1:]))
         )
-    big = pos & (x > 1.0)
+    big = pos & (x > HORNER_X_MAX)
     if np.any(big):
         out[big] = _log_u_prime(kernel, arr[big])
     return float(out[0]) if scalar else out
@@ -264,7 +267,7 @@ def eval_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
     x = _x_of(kernel, arr)
     out = np.zeros(arr.shape)
     pos = arr > 0.0
-    small = pos & (x <= 1.0)
+    small = pos & (x <= HORNER_X_MAX)
     if np.any(small):
         # (4/r) sum_j j a_j x^j recast as (r^3/sigma^4) sum_j j a_j x^(j-1),
         # which needs no division and vanishes cleanly as r -> 0
@@ -275,7 +278,7 @@ def eval_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
             / kernel.params.sigma**4
             * npoly.polyval(x[small], kernel._b[1:])
         )
-    big = pos & (x > 1.0)
+    big = pos & (x > HORNER_X_MAX)
     if np.any(big):
         with np.errstate(over="ignore"):
             out[big] = np.exp(_log_u_prime(kernel, arr[big]))

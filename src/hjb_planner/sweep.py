@@ -116,10 +116,12 @@ class SweepTable:
 def sweep_rate(spec: SweepSpec) -> SweepTable:
     """rho(r) over the full (N, sigma, r) cross product.
 
-    Cells whose parameters are rejected by the series builder (truncation
-    overflow at extreme r/sigma ratios) are reported with an empty rate
-    rather than aborting the sweep.  Writes rate_sweep.csv into the
-    requested output directory and returns the table.
+    Cells whose parameters are rejected with a ValueError (the series
+    builder's truncation overflow at extreme r/sigma ratios) are reported
+    with an empty rate rather than aborting the sweep, and
+    rate_sweep_skipped.txt gets one line per such cell naming N, sigma and
+    the reason.  Any other exception propagates.  Writes rate_sweep.csv
+    into the requested output directory and returns the table.
     """
     r_max = float(np.max(spec.r_grid))
     cells = [(n, s) for n in spec.n_list for s in spec.sigma_list]
@@ -131,8 +133,8 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
             rate = build_rate(build_kernel(params, r_max=r_max))
             values = np.atleast_1d(rate_coeff(rate, spec.r_grid))
             return [(n, s, float(r), float(v)) for r, v in zip(spec.r_grid, values)]
-        except (ValueError, RuntimeError) as exc:
-            note = f"{exc}"
+        except ValueError as exc:
+            note = f"skipped cell N={n} sigma={s!r}: {exc}"
             return [(n, s, float(r), "") for r in spec.r_grid] + [("#", "", note, "")]
 
     rows: list = []
@@ -143,7 +145,7 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
     table = SweepTable(rows=tuple(rows))
     table.write(spec.output_dir / "rate_sweep.csv")
     if notes:
-        text = "\n".join(f"skipped cell: {note[2]}" for note in notes) + "\n"
+        text = "\n".join(note[2] for note in notes) + "\n"
         atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", text)
     return table
 

@@ -34,6 +34,7 @@ from hjb_planner import (
     sweep_rate,
     verify_exact_4d,
 )
+from hjb_planner.oracles import quotient_coeffs, quotient_rate
 from hjb_planner.simulate import SimConfig
 
 CROSS_N = (1, 2, 4, 10, 100)
@@ -141,18 +142,19 @@ def test_criterion_5_quotient_recursion_and_rate():
     # derivative series by the kernel series, performed in exact arithmetic
     worst_coeff = 0.0
     for n in CROSS_N:
-        rate = build_rate(build_kernel(ModelParams(n, 1.0, 1.0)))
         count = 31
+        c = quotient_coeffs(n, count - 1)
         a = [Fraction(1)]
         for j in range(1, count):
             a.append(a[j - 1] / (j * (n + 4 * j - 2)))
         b = [j * a[j] for j in range(count)]
         divided = _long_divide(b, a, count)
         for j in range(1, count):
-            rel = abs(rate.c[j] - float(divided[j])) / abs(float(divided[j]))
+            rel = abs(c[j] - float(divided[j])) / abs(float(divided[j]))
             worst_coeff = max(worst_coeff, rel)
 
-    # (b) quotient-series rate vs direct sigma^2 u'/(r u) for x <= 0.25
+    # (b) quotient-series rate and the production rate vs direct
+    # sigma^2 u'/(r u) for x <= 0.25
     worst_rate = 0.0
     for n in CROSS_N:
         for sigma in CROSS_SIGMA:
@@ -162,15 +164,16 @@ def test_criterion_5_quotient_recursion_and_rate():
             rate = build_rate(kernel)
             grid = np.linspace(r_top / 50, r_top, 50)
             direct = sigma**2 * eval_u_prime(kernel, grid) / (grid * eval_u(kernel, grid))
-            quotient = rate_coeff(rate, grid)
-            worst_rate = max(worst_rate, float(np.max(np.abs(quotient - direct) / direct)))
+            for rho in (quotient_rate(params, grid), rate_coeff(rate, grid)):
+                worst_rate = max(worst_rate, float(np.max(np.abs(rho - direct) / direct)))
 
     ok = worst_coeff <= 1e-13 and worst_rate <= 1e-10
     report(
         5,
         ok,
         f"c_j vs long division rel {worst_coeff:.3e} <= 1e-13 (j <= 30); "
-        f"quotient vs direct rate rel {worst_rate:.3e} <= 1e-10 (x <= 0.25)",
+        f"quotient and production rate vs direct rate rel {worst_rate:.3e} <= 1e-10 "
+        "(x <= 0.25)",
     )
 
 

@@ -1,4 +1,6 @@
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from hjb_planner import (
     picard_step_bound,
     verify_exact_4d,
 )
+from hjb_planner import oracles
+from hjb_planner.oracles import quotient_coeffs, riccati_rate
 from hjb_planner.sweep import _corrupt
 
 GRID = np.linspace(0.0, 1.0, 200)
@@ -265,3 +269,61 @@ def test_picard_step_bound_values():
     assert picard_step_bound(p, 1.0, 0) == pytest.approx(1 / 16, rel=1e-15)
     assert picard_step_bound(p, 1.0, 1) == pytest.approx(1 / 512, rel=1e-15)
     assert picard_step_bound(p, 0.0, 3) == 0.0
+
+
+def exact_quotient_coeffs(n: int, count: int) -> list[Fraction]:
+    """Division recursion in exact rational arithmetic."""
+    a = [Fraction(1)]
+    for j in range(1, count + 1):
+        a.append(a[j - 1] / (j * (n + 4 * j - 2)))
+    c = [Fraction(0)]
+    for j in range(1, count + 1):
+        conv = sum(c[j - i] * a[i] for i in range(1, j + 1))
+        c.append(j * a[j] - conv)
+    return c
+
+
+class TestQuotientCoefficients:
+    def test_leading_values_n2(self):
+        c = quotient_coeffs(2, 40)
+        assert c.size == 41
+        assert c[0] == 0.0
+        assert c[1] == 0.25
+        assert c[2] == pytest.approx(-1 / 32, rel=1e-15)
+        assert c[3] == pytest.approx(1 / 192, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 100])
+    def test_recursion_matches_exact_rationals(self, n):
+        c = quotient_coeffs(n, 40)
+        exact = exact_quotient_coeffs(n, 30)
+        assert c[1] == pytest.approx(1.0 / (n + 2), rel=1e-15)
+        for j in range(1, 31):
+            assert c[j] == pytest.approx(float(exact[j]), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_stored_floats_satisfy_recursion_pointwise(self, n):
+        # single-step residual of the float identity c_j = b_j - conv
+        c = quotient_coeffs(n, 40)
+        a = [1.0]
+        for j in range(1, c.size):
+            a.append(a[j - 1] / (j * (n + 4 * j - 2)))
+        a = np.asarray(a)
+        for j in range(1, c.size):
+            terms = c[j - 1 :: -1][:j] * a[1 : j + 1]
+            residual = c[j] - (j * a[j] - float(np.sum(terms)))
+            # backward-error scale: the convolution cancels internally by
+            # many orders of magnitude in the deep tail at large N
+            scale = max(abs(c[j]), j * a[j], float(np.sum(np.abs(terms))), 1e-300)
+            assert abs(residual) <= 1e-13 * scale
+
+
+def test_solver_failure_raises_with_its_message(monkeypatch, wide_params):
+    def failing_solve_ivp(*args, **kwargs):
+        return SimpleNamespace(success=False, message="stub: step size too small")
+
+    monkeypatch.setattr(oracles, "solve_ivp", failing_solve_ivp)
+    with pytest.raises(
+        RuntimeError,
+        match="logarithmic-derivative integration failed: stub: step size too small",
+    ):
+        riccati_rate(wide_params, np.linspace(1.0, 20.0, 5))

@@ -1,10 +1,8 @@
 import math
-from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -22,70 +20,9 @@ from hjb_planner import (
     rate_coeff,
     write_rate_table,
 )
+from hjb_planner.oracles import riccati_rate
 
 RHO_AT_1_N2_SIGMA1 = 0.24249961258080194  # sigma^2 u'(1)/(1*u(1)) by brute force
-
-
-def exact_quotient_coeffs(n: int, count: int) -> list[Fraction]:
-    """Division recursion in exact rational arithmetic."""
-    a = [Fraction(1)]
-    for j in range(1, count + 1):
-        a.append(a[j - 1] / (j * (n + 4 * j - 2)))
-    c = [Fraction(0)]
-    for j in range(1, count + 1):
-        conv = sum(c[j - i] * a[i] for i in range(1, j + 1))
-        c.append(j * a[j] - conv)
-    return c
-
-
-class TestQuotientCoefficients:
-    def test_leading_values_n2(self, std_rate):
-        assert std_rate.c[0] == 0.0
-        assert std_rate.c[1] == 0.25
-        assert std_rate.c[2] == pytest.approx(-1 / 32, rel=1e-15)
-        assert std_rate.c[3] == pytest.approx(1 / 192, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 10, 100])
-    def test_recursion_matches_exact_rationals(self, n):
-        rate = build_rate(build_kernel(ModelParams(n, 1.0, 1.0)))
-        exact = exact_quotient_coeffs(n, 30)
-        assert rate.c[1] == pytest.approx(1.0 / (n + 2), rel=1e-15)
-        for j in range(1, 31):
-            assert rate.c[j] == pytest.approx(float(exact[j]), rel=1e-13)
-
-    @pytest.mark.parametrize("n", [1, 2, 10, 100])
-    def test_stored_floats_satisfy_recursion_pointwise(self, n):
-        # single-step residual of the float identity c_j = b_j - conv
-        rate = build_rate(build_kernel(ModelParams(n, 1.0, 1.0)))
-        a = [1.0]
-        for j in range(1, rate.c.size):
-            a.append(a[j - 1] / (j * (n + 4 * j - 2)))
-        a = np.asarray(a)
-        for j in range(1, rate.c.size):
-            terms = rate.c[j - 1 :: -1][:j] * a[1 : j + 1]
-            residual = rate.c[j] - (j * a[j] - float(np.sum(terms)))
-            # backward-error scale: the convolution cancels internally by
-            # many orders of magnitude in the deep tail at large N
-            scale = max(abs(rate.c[j]), j * a[j], float(np.sum(np.abs(terms))), 1e-300)
-            assert abs(residual) <= 1e-13 * scale
-
-    def test_breakdown_for_huge_trust_region(self, monkeypatch, std_kernel):
-        # far beyond the quotient's convergence radius the tail never decays
-        monkeypatch.setattr(rate_module, "X_SWITCH", 1e6)
-        with pytest.raises(RuntimeError, match="quotient series breakdown"):
-            build_rate(std_kernel)
-
-
-def test_solver_failure_raises_with_its_message(monkeypatch, wide_kernel):
-    def failing_solve_ivp(*args, **kwargs):
-        return SimpleNamespace(success=False, message="stub: step size too small")
-
-    monkeypatch.setattr(rate_module, "solve_ivp", failing_solve_ivp)
-    with pytest.raises(
-        RuntimeError,
-        match="logarithmic-derivative integration failed: stub: step size too small",
-    ):
-        build_rate(wide_kernel)
 
 
 class TestRateCoeff:
@@ -114,13 +51,13 @@ class TestRateCoeff:
         assert np.max(np.abs(rate_coeff(std_rate, grid) - direct) / direct) < 1e-12
 
     def test_series_and_fallback_paths_agree_on_overlap(self, wide_rate):
-        # quotient series vs integrated logarithmic derivative across
-        # [x_switch/2, x_switch], both in s = r/sigma
-        x = np.linspace(wide_rate.x_switch / 2, wide_rate.x_switch, 41)
+        # Horner and log-space branches on the same s across
+        # [x_switch/2, 2 x_switch], where either can be trusted
+        x = np.linspace(wide_rate.x_switch / 2, 2.0 * wide_rate.x_switch, 81)
         s = (4.0 * x) ** 0.25
-        quotient = 4.0 * npoly.polyval(x, wide_rate.c) / s**2
-        fallback = wide_rate._w_interp(s) / s
-        assert np.max(np.abs(quotient - fallback) / fallback) < 1e-8
+        horner = rate_module._horner_ratio(wide_rate, s, x.copy())
+        log_space = rate_module._log_space_ratio(wide_rate, s)
+        assert np.max(np.abs(horner - log_space) / log_space) <= 1e-13
 
     def test_nondecreasing_and_capped(self, wide_rate):
         grid = np.linspace(0.0, 20.0, 2001)
@@ -171,9 +108,10 @@ class TestRateCoeff:
             rate_coeff(std_rate, math.inf)
 
     def test_bitwise_equal_to_polyval_and_table(self, wide_rate):
-        # the in-place Horner must give npoly.polyval's bits, on an array
-        # that mixes r = 0, the series range and the table's tail, on an
-        # all-series array and point by point
+        # the in-place Horner must give s^2 polyval(x, b[1:]) / polyval(x, a)
+        # bit for bit, on an array that mixes r = 0, the Horner range and
+        # the log-space tail, on an all-Horner array and point by point;
+        # tail points must not depend on the other points of the call
         sigma = wide_rate.params.sigma
         r_switch = sigma * (4.0 * wide_rate.x_switch) ** 0.25
         grid = np.concatenate([
@@ -183,37 +121,53 @@ class TestRateCoeff:
         ])
         s = grid / sigma
         x = s**4 / 4.0
-        series = x <= wide_rate.x_switch
+        near = x <= wide_rate.x_switch
         expected = np.zeros(grid.shape)
-        expected[series] = s[series] ** 2 * npoly.polyval(x[series], wide_rate.c[1:])
-        tail = ~series
-        expected[tail] = wide_rate._w_interp(s[tail]) / s[tail]
-        assert series.any() and tail.any()
+        expected[near] = (
+            s[near] ** 2
+            * npoly.polyval(x[near], wide_rate.b[1:])
+            / npoly.polyval(x[near], wide_rate.c)
+        )
+        tail = ~near
+        expected[tail] = rate_module._log_space_ratio(wide_rate, s[tail])
+        assert near.any() and tail.any()
         assert np.array_equal(rate_coeff(wide_rate, grid), expected)
-        assert np.array_equal(rate_coeff(wide_rate, grid[series]), expected[series])
+        assert np.array_equal(rate_coeff(wide_rate, grid[near]), expected[near])
         pointwise = [rate_coeff(wide_rate, float(v)) for v in grid[::7]]
         assert np.array_equal(pointwise, expected[::7])
 
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_r_max_one_ulp_either_side_of_the_switch(self, side):
-        # the table is built exactly when some certified r can reach it
+    def test_r_max_one_ulp_either_side_of_the_switch(self, side, monkeypatch):
+        # the log-space branch runs exactly when some certified r reaches it,
+        # and the two branches meet there to rounding
         sigma = 0.5
 
         def past_switch(r):
-            return rate_module._x_of(np.asarray([r / sigma]))[0] > rate_module.X_SWITCH
+            return np.power(r / sigma, 4.0) / 4.0 > rate_module.HORNER_X_MAX
 
-        r_edge = sigma * (4.0 * rate_module.X_SWITCH) ** 0.25
+        r_edge = sigma * (4.0 * rate_module.HORNER_X_MAX) ** 0.25
         while past_switch(r_edge):
             r_edge = np.nextafter(r_edge, 0.0)
         while not past_switch(np.nextafter(r_edge, 1.0)):
             r_edge = np.nextafter(r_edge, 1.0)
         r_max = float(r_edge if side < 0 else np.nextafter(r_edge, 1.0))
         rate = build_rate(build_kernel(ModelParams(2, sigma, 0.5), r_max=r_max))
-        assert (rate.riccati_r.size > 0) == (side > 0)
+        calls = []
+        log_space_ratio = rate_module._log_space_ratio
+
+        def counted(rate, s):
+            calls.append(s.size)
+            return log_space_ratio(rate, s)
+
+        monkeypatch.setattr(rate_module, "_log_space_ratio", counted)
         grid = np.linspace(0.0, r_max, 33)
         rho = rate_coeff(rate, grid)
+        assert (calls == [1]) == (side > 0) and (calls == []) == (side < 0)
         assert np.all(np.isfinite(rho)) and np.all(np.diff(rho) >= 0.0)
         assert rate_coeff(rate, r_max) == rho[-1]
+        s_max = np.asarray([r_max / sigma])
+        horner = rate_module._horner_ratio(rate, s_max, s_max**4 / 4.0)
+        assert rho[-1] == pytest.approx(horner[0], rel=1e-13)
 
     @pytest.mark.parametrize(
         "n,sigma,r_max,points",
@@ -221,14 +175,59 @@ class TestRateCoeff:
         + [(1, 1.0, 80.0, 200)],
     )
     def test_tail_matches_log_space_kernel_ratio(self, n, sigma, r_max, points):
-        # independent route: the log-space kernel series shares no code
-        # with the quotient series or the table
+        # independent routes: the log-space kernel series and the Riccati
+        # oracle share no code with the rate's series ratio
         kernel = build_kernel(ModelParams(n, sigma, 1.0), r_max=r_max)
         rate = build_rate(kernel)
         r_switch = sigma * (4.0 * rate.x_switch) ** 0.25
         r = np.linspace(r_switch, r_max, points)[1:]
         direct = sigma**2 * np.exp(eval_log_u_prime(kernel, r) - eval_log_u(kernel, r)) / r
-        assert np.max(np.abs(rate_coeff(rate, r) - direct) / direct) < 1e-9
+        assert np.max(np.abs(rate_coeff(rate, r) - direct) / direct) < 1e-12
+        riccati = riccati_rate(kernel.params, r)
+        assert np.max(np.abs(riccati - direct) / direct) < 1e-9
+
+    @given(
+        n=st.integers(min_value=1, max_value=2000),
+        sigma=st.floats(min_value=0.25, max_value=4.0),
+        log10_x_max=st.floats(min_value=-3.0, max_value=4.0),
+        log_fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=16),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=16),
+    )
+    @example(n=1, sigma=0.25, log10_x_max=4.0, log_fractions=[0.0, 0.5], fractions=[0.01, 0.5])
+    @example(n=2000, sigma=4.0, log10_x_max=4.0, log_fractions=[0.0, 0.49], fractions=[0.0])
+    @example(n=2, sigma=1.0, log10_x_max=0.0, log_fractions=[0.4836, 0.99], fractions=[1.0])
+    @settings(max_examples=60, deadline=None)
+    def test_property_over_the_domain(self, n, sigma, log10_x_max, log_fractions, fractions):
+        # radii from 1e-300 sigma to r_max: log-uniform ones reach the
+        # subnormal range of rho, linear ones cover both sides of the split
+        s_max = (4.0 * 10.0**log10_x_max) ** 0.25
+        r_max = sigma * s_max
+        params = ModelParams(n, sigma, r_max)
+        kernel = build_kernel(params, r_max=r_max)
+        rate = build_rate(kernel)
+        exponents = -300.0 + np.asarray(log_fractions) * (300.0 + math.log10(s_max))
+        r = np.unique(np.concatenate([
+            sigma * 10.0**exponents,
+            r_max * np.asarray(fractions),
+            [r_max, sigma * 2.0**0.5],
+        ]))
+        r = r[(r >= 1e-300 * sigma) & (r <= r_max)]
+        rho = rate_coeff(rate, r)
+        # relative checks, floored at the smallest normal double where rho
+        # itself is subnormal and carries only a few significant bits
+        tiny = np.finfo(float).tiny
+
+        def slack(v, rel):
+            return rel * np.maximum(v, tiny)
+
+        assert np.all(np.isfinite(rho)) and np.all(rho >= 0.0)
+        env = envelope(params, r)
+        assert np.all(rho <= env + slack(env, 1e-12))
+        assert np.all(np.diff(rho) >= -slack(rho[1:], 1e-13))
+        direct = sigma**2 * np.exp(
+            eval_log_u_prime(kernel, r) - eval_log_u(kernel, r) - np.log(r)
+        )
+        assert np.all(np.abs(rho - direct) <= slack(direct, 1e-12))
 
     @pytest.mark.parametrize(
         "bad,message",

@@ -119,10 +119,11 @@ class TestBatchEngine:
             assert np.array_equal(single.y_final, y_final[i])
 
     def test_pinned_costs_are_bitwise_stable(self, std_rate):
-        # exact floats of the one-step-at-a-time engine; step-blocked draws
-        # and the in-place rho must not move a bit
+        # exact floats of the one-step-at-a-time engine with rho as the
+        # kernel's series ratio; step-blocked draws and the in-place rho
+        # must not move a bit
         assert monte_carlo_cost(std_rate, cfg_origin(n_paths=200, seed=42)) == (
-            0.12292715369426332, 0.006237990311086364, 200,
+            0.12292715369426331, 0.006237990311086364, 200,
         )
         rate100 = build_rate(build_kernel(ModelParams(100, 1.0, 1.0), r_max=1.0))
         cfg100 = cfg_origin(n_paths=200, dt=1e-4, seed=7, dim=100)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hjb_planner import SweepSpec, run_simulate, run_verify, sweep_rate
+from hjb_planner import SweepSpec, run_simulate, run_verify, sweep, sweep_rate
 from hjb_planner.cli import main
 from hjb_planner.simulate import SimConfig
 from hjb_planner.sweep import _thread_cap
@@ -74,7 +74,20 @@ class TestSweep:
         good = [row for row in table.rows if row[3] != ""]
         assert {row[1] for row in empty} == {0.02}
         assert {row[1] for row in good} == {1.0}
-        assert (tmp_path / "rate_sweep_skipped.txt").exists()
+        note = (tmp_path / "rate_sweep_skipped.txt").read_text().splitlines()
+        assert len(note) == 1
+        assert note[0].startswith("skipped cell N=2 sigma=0.02: series truncation overflow")
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        # only a refused build is a skipped cell; anything else is a bug
+        def broken(rate, r):
+            raise RuntimeError("stub: broken rate")
+
+        monkeypatch.setattr(sweep, "rate_coeff", broken)
+        spec = SweepSpec(n_list=(2,), sigma_list=(1.0,), r_grid=[0.0, 1.0], output_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="stub: broken rate"):
+            sweep_rate(spec)
+        assert not (tmp_path / "rate_sweep_skipped.txt").exists()
 
     def test_spec_validation(self, tmp_path):
         with pytest.raises(ValueError):
