@@ -4,7 +4,7 @@ Three routes to the same radial profile, none of which shares code with the
 series evaluation:
 
 * picard_solve: successive approximation of the integral form
-  u(r) = alpha + int_0^r t^(1-N) int_0^t s^(N+1) u(s)/sigma^4 ds dt,
+  u(r) = 1 + int_0^r t^(1-N) int_0^t s^(N+1) u(s)/sigma^4 ds dt,
   discretized with composite trapezoid sums on refinements of the caller's
   grid.  The trapezoid error expands in even powers of the step (Linz,
   Analytical and Numerical Methods for Volterra Equations, SIAM 1985,
@@ -12,7 +12,7 @@ series evaluation:
   the result fourth-order; levels are added until two successive
   extrapolations agree.  The iterates increase pointwise and their
   sup-differences, extrapolated the same way, obey the factorial envelope
-  (alpha/(k+1)!) (R^4/(4 sigma^4 (N+2)))^(k+1), which doubles as a
+  (1/(k+1)!) (R^4/(4 sigma^4 (N+2)))^(k+1), which doubles as a
   convergence certificate.
 
 * ode_solve: direct high-order integration of the second-order radial ODE,
@@ -35,6 +35,9 @@ W' = s^2 - W^2 - (N-1) W/s for W = d ln u/ds, s = r/sigma, rho = W/s.
 
 check_bounds sweeps the growth/slope/rate inequalities the kernel must
 satisfy and reports a signed relative margin per grid point.
+
+scipy is imported inside ode_solve and riccati_rate only, so importing the
+package (and every CLI verb but verify) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -44,12 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fileio import write_csv
 from .params import ModelParams
-from .rate import envelope
-from .series import SeriesKernel, _log_u_prime, eval_log_u
+from .series import SeriesKernel, _kernel_eval, eval_log_u, eval_log_u_prime
 
 MARGIN_FLOOR = -1e-12
 
@@ -148,8 +149,8 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int, k_max: int, to
     shift = np.zeros_like(t)
     np.multiply(n - 1, np.log(t[1:]), out=shift[1:])
 
-    u = np.full(t.shape, params.alpha)
-    u_next = np.full(t.shape, params.alpha)  # [0] stays alpha
+    u = np.ones_like(t)
+    u_next = np.ones_like(t)  # [0] stays 1
     inner = np.zeros_like(t)
     g = np.empty_like(t)
     seg = np.empty(t.size - 1)
@@ -172,7 +173,7 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int, k_max: int, to
         np.add(g[1:], g[:-1], out=seg)
         np.multiply(seg, half_h, out=seg)
         np.cumsum(seg, out=u_next[1:])
-        np.add(u_next[1:], params.alpha, out=u_next[1:])
+        np.add(u_next[1:], 1.0, out=u_next[1:])
         np.subtract(u_next, u, out=step)
         sup = float(np.max(step))
         steps.append(step[::stride].copy())
@@ -256,7 +257,7 @@ def picard_solve(
 def picard_step_bound(params: ModelParams, r: float, k: int) -> float:
     """Analytic envelope for the k-th successive difference at radius r."""
     q = r**4 / (4.0 * params.sigma**4 * (params.n_goods + 2))
-    return params.alpha / math.factorial(k + 1) * q ** (k + 1)
+    return 1.0 / math.factorial(k + 1) * q ** (k + 1)
 
 
 def ode_solve(
@@ -269,7 +270,7 @@ def ode_solve(
 
     The origin is a removable coordinate singularity and (N-1)/r makes the
     equation stiff near it, so the profile starts from the local series
-    u = alpha sum_(j<4) a_j x^j, x = r^4/(4 sigma^4), with a_j built from
+    u = sum_(j<4) a_j x^j, x = r^4/(4 sigma^4), with a_j built from
     the ODE's own recurrence.  The start radius r0 is the largest radius
     where the first omitted term is at most 1e-18 relative for both u
     and u' (a_4 x^4 and 4 a_4 x^3 / a_1), capped at r_max/2 so at least
@@ -286,6 +287,8 @@ def ode_solve(
             bound says u(r_max) would overflow double precision (use the
             logarithmic-derivative route instead).
     """
+    from scipy.integrate import solve_ivp
+
     step_tol = float(step_tol)
     if not (math.isfinite(step_tol) and step_tol >= _RTOL_FLOOR):
         raise ValueError(
@@ -307,7 +310,7 @@ def ode_solve(
     if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
         raise ValueError("grid must be strictly increasing from 0 within [0, r_max]")
 
-    # a_0..a_4 of u = alpha sum_j a_j x^j; a_4 is the first term left out
+    # a_0..a_4 of u = sum_j a_j x^j; a_4 is the first term left out
     a = [1.0]
     for j in range(1, 5):
         a.append(a[-1] / (j * (n + 4 * j - 2)))
@@ -317,8 +320,8 @@ def ode_solve(
 
     def local_series(r):
         x = r**4 / (4.0 * sigma4)
-        u = params.alpha * (a0 + x * (a1 + x * (a2 + x * a3)))
-        up = params.alpha * r**3 / sigma4 * (a1 + x * (2.0 * a2 + x * 3.0 * a3))
+        u = a0 + x * (a1 + x * (a2 + x * a3))
+        up = r**3 / sigma4 * (a1 + x * (2.0 * a2 + x * 3.0 * a3))
         return u, up
 
     def rhs(r, y):
@@ -381,6 +384,8 @@ def riccati_rate(params: ModelParams, r) -> np.ndarray:
         RuntimeError: "logarithmic-derivative integration failed", naming
             the solver's message.
     """
+    from scipy.integrate import solve_ivp
+
     s = np.asarray(r, dtype=float) / params.sigma
     n_minus_1 = float(params.n_goods - 1)
 
@@ -439,7 +444,8 @@ def verify_exact_4d(sigma: float, which: str, grid) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Signed relative margins (bound - value)/bound per grid point."""
+    """Signed relative margins (bound - value)/bound per grid point; a
+    non-finite margin is reported as the worst one and fails ok."""
 
     rows: tuple  # (r, bound_name, margin) triples, grid-major
     min_margin: float
@@ -448,7 +454,7 @@ class BoundReport:
 
     @property
     def ok(self) -> bool:
-        return self.min_margin >= MARGIN_FLOOR
+        return math.isfinite(self.min_margin) and self.min_margin >= MARGIN_FLOOR
 
     def write_csv(self, path) -> None:
         write_csv(path, ["r", "bound_name", "margin"], self.rows)
@@ -472,44 +478,48 @@ class BoundViolation(RuntimeError):
 def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
     """Margins of the kernel growth, slope, and rate inequalities.
 
-    Per grid point: u against alpha e^(x/(N+2)); u' against
-    alpha r^3/(sigma^4 (N+2)) e^(x/(N+2)); the rate sigma^2 u'/(r u)
-    against 1; and the rate against its algebraic envelope.  Margins are
-    1 - value/bound, computed in log space so huge kernels cannot
-    overflow, and must stay above -1e-12.
+    Per grid point: u against e^(x/(N+2)); u' against
+    r^3/(sigma^4 (N+2)) e^(x/(N+2)); the rate rho = sigma^2 u'/(r u) =
+    s^2 B/A against 1; and the rate against its algebraic envelope.  ln u,
+    ln u' and B/A come from the series module's kernel-sum core, so no
+    margin overflows or passes through an underflowed rho: the kernel
+    margins are 1 - value/bound formed in log space, and the envelope
+    margin 1 - rho/env is formed as 1 - (B/A) (N + hypot(N, 2 s^2))/2, with
+    s = r/sigma.  Every margin must be finite and above -1e-12.
 
     Raises:
         BoundViolation: naming the failing bound and grid point (the full
-            report rides on the exception).
+            report rides on the exception); a non-finite margin is a
+            violation.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or np.any(np.diff(r) <= 0) or np.any(r < 0):
         raise ValueError("grid must be 1-D, strictly increasing, nonnegative")
-    params = kernel.params
-    n = params.n_goods
-    sigma2 = params.sigma**2
-    log_alpha = math.log(params.alpha)
+    n = kernel.params.n_goods
+    sigma2 = kernel.params.sigma**2
 
     rows = []
-    pos = r > 0.0
-    rp = r[pos]
+    rp = r[r > 0.0]
     x = rp**4 / (4.0 * sigma2 * sigma2)
-    log_u = np.atleast_1d(eval_log_u(kernel, rp))
-    log_up = _log_u_prime(kernel, rp)
-    log_u_bound = log_alpha + x / (n + 2)
-    log_up_bound = (
-        log_alpha + 3.0 * np.log(rp) - math.log(sigma2 * sigma2 * (n + 2)) + x / (n + 2)
+    s2 = rp * rp / sigma2
+    log_u = eval_log_u(kernel, rp)
+    log_up = eval_log_u_prime(kernel, rp)
+    b_over_a = _kernel_eval(
+        kernel,
+        rp,
+        lambda r, s, t, b: b / (t + 1.0),
+        lambda r, s, m, s0, s1: 4.0 * s1 / (s0 * s**4),  # S1 / (x S0)
     )
-    rho = sigma2 * np.exp(log_up - log_u - np.log(rp))
-    env = np.atleast_1d(envelope(params, rp))
+    log_u_bound = x / (n + 2)
+    log_up_bound = 3.0 * np.log(rp) - math.log(sigma2 * sigma2 * (n + 2)) + x / (n + 2)
 
     margins = {
         "kernel_growth": -np.expm1(log_u - log_u_bound),
         "kernel_slope_growth": -np.expm1(log_up - log_up_bound),
-        "rate_sigma_bound": 1.0 - rho,
-        "rate_envelope": 1.0 - rho / env,
+        "rate_sigma_bound": 1.0 - s2 * b_over_a,
+        "rate_envelope": 1.0 - b_over_a * (n + np.hypot(n, 2.0 * s2)) / 2.0,
     }
-    # Origin: u = alpha meets its bound with equality, u' and the rate are
+    # Origin: u = 1 meets its bound with equality, u' and the rate are
     # exactly 0 against bounds 0, 1, 0.
     origin = {
         "kernel_growth": 0.0,
@@ -529,7 +539,9 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
                 rows.append((float(radius), name, float(margins[name][pos_index])))
             pos_index += 1
 
-    worst = min(rows, key=lambda row: row[2])
+    worst = next((row for row in rows if not math.isfinite(row[2])), None) or min(
+        rows, key=lambda row: row[2]
+    )
     report = BoundReport(
         rows=tuple(rows),
         min_margin=worst[2],

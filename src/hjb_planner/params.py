@@ -15,27 +15,23 @@ class ModelParams:
     sigma   : diffusion coefficient of each inventory component
               (inventory-units per sqrt(time)), > 0.
     radius  : Euclidean-norm threshold at which production stops, > 0.
-    alpha   : kernel value at the origin.  Pinned to 1: the optimal control
-              is invariant under rescaling of the kernel, so nothing is lost
-              and the expected-cost formula uses log-differences where the
-              scale cancels anyway.
+
+    The value kernel is normalized to u(0) = 1: the optimal control is
+    invariant under rescaling of the kernel, and the expected cost uses
+    log-differences, where the scale cancels anyway.
     """
 
     n_goods: int
     sigma: float
     radius: float
-    alpha: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_goods", operator.index(self.n_goods))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "alpha", float(self.alpha))
         if self.n_goods < 1:
             raise ValueError(f"n_goods must be >= 1, got {self.n_goods}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a positive finite real, got {self.radius}")
-        if self.alpha != 1.0:
-            raise ValueError("alpha is pinned to 1.0 (the control does not depend on it)")

@@ -1,21 +1,37 @@
-"""Radial value-kernel evaluation in overflow-safe log space.
+"""Radial value-kernel evaluation through one Horner / log-space split.
 
 The planning model's value function reduces to a single radial profile
 u(r) solving
 
-    u''(r) + (N-1)/r * u'(r) = r^2 u(r) / sigma^4,   u(0) = alpha, u'(0) = 0.
+    u''(r) + (N-1)/r * u'(r) = r^2 u(r) / sigma^4,   u(0) = 1, u'(0) = 0.
 
-The regular solution is an entire even series in x = r^4 / (4 sigma^4):
+The kernel's scale is fixed at u(0) = 1: the optimal control and the
+expected cost below depend on u only through ln u differences and u'/u.
+With s = r/sigma and x = s^4/4 the regular solution is an entire even
+series,
 
-    u(r)  = alpha * (1 + sum_{j>=1} a_j x^j),
+    u(r)  = A(x) = sum_{j>=0} a_j x^j,    a_0 = 1,
     a_j   = 1 / (j! * (N+2)(N+6)...(N+4j-2)),
-    u'(r) = alpha * (4/r) * sum_{j>=1} j a_j x^j      (r > 0).
+    u'(r) = (r^3/sigma^4) B(x),           B(x) = sum_{j>=1} j a_j x^(j-1),
 
-u grows like exp(x/(N+2)) and overflows double precision well inside the
-radii the rate evaluator needs, so coefficients are stored as logarithms
-(the ratio a_j/a_{j-1} = 1/(j(N+4j-2)) makes the log recurrence exact) and
-large-x sums go through log-sum-exp.  For x <= 1 the terms decay from the
-first one and a plain Horner sum is both faster and fully accurate.
+and every quantity the package needs (u, u', ln u, ln u' and the rate
+rho = s^2 B/A) comes from the two sums A and B.  One private core
+evaluates them, split at x = HORNER_X_MAX:
+
+* x <= HORNER_X_MAX: the terms decay from the first, and one in-place
+  Horner pass gives t = A - 1 = x (a_1 + a_2 x + ...) and B.  Because
+  a_0 is exactly 1, t + 1.0 is bit for bit the Horner value of A, and
+  ln u = log1p(t) keeps full relative precision as r -> 0, where a plain
+  ln(A) would round to 0.
+* beyond: A and B overflow double precision long before the certified
+  range ends, so the sums are taken over weights normalized in log space,
+  w_j = exp(ln a_j + j ln x - m) with m = max_k (ln a_k + k ln x), giving
+  A = e^m sum_j w_j and x B = e^m sum_j j w_j; ln x = 4 ln s - ln 4 is
+  formed once per point.
+
+Coefficients are stored both linearly (for Horner) and as logarithms (the
+ratio a_j/a_{j-1} = 1/(j(N+4j-2)) makes the log recurrence exact).  The
+production path uses numpy only.
 
 The expected accumulated quadratic cost of the optimally controlled
 inventory, started at |y| = r0 and stopped at |y| = R, is
@@ -31,8 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from scipy.special import logsumexp
 
 from .params import ModelParams
 
@@ -42,13 +56,19 @@ _TRUNCATION_CAP = 2000
 
 _DEFAULT_TERM_TOL = 1e-15
 
-# Horner for x <= HORNER_X_MAX, where the terms decay; log-sum-exp beyond.
+# Horner for x <= HORNER_X_MAX, where the terms decay; log space beyond.
 HORNER_X_MAX = 1.0
+
+# Elements per block of the log-space branch's (points, terms) matrix, so
+# scratch memory stays O(points) however long the kernel is.
+_LOG_BLOCK = 1 << 16
+
+_LN4 = math.log(4.0)
 
 
 @dataclass(frozen=True, eq=False)
 class SeriesKernel:
-    """Truncated log-space representation of u(r) and u'(r).
+    """Truncated representation of u(r) and u'(r).
 
     log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0).
     Evaluations are certified on [0, r_max]: the truncation order was chosen
@@ -62,9 +82,9 @@ class SeriesKernel:
     truncation_order: int
     term_tol: float
     r_max: float
-    # Linear-space coefficient caches for the Horner fast path (a_j and
-    # j*a_j); entries that underflow to 0.0 are beyond double precision
-    # anyway for x <= 1.
+    # Linear-space coefficients for the Horner branch (a_j and j*a_j);
+    # entries that underflow to 0.0 are beyond double precision anyway for
+    # x <= 1.
     _a: np.ndarray = field(repr=False, default=None)
     _b: np.ndarray = field(repr=False, default=None)
 
@@ -132,157 +152,166 @@ def build_kernel(
     )
 
 
-def _as_radii(kernel: SeriesKernel, r) -> tuple[np.ndarray, bool]:
-    """Validate radii against [0, r_max] and return (array, was_scalar)."""
+def _horner(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = A(x) - 1 = x * Horner(a_1..a_J) and B(x) = Horner(b_1..b_J) by
+    in-place Horner; x is only read.  a_0 is exactly 1, so t + 1.0 is bit
+    for bit polyval(x, a), and log1p(t) is ln A to full relative
+    precision."""
+    t = np.full(x.shape, a[-1])
+    bsum = np.full(x.shape, b[-1])
+    for aj, bj in zip(a[-2:0:-1], b[-2:0:-1]):
+        t *= x
+        t += aj
+        bsum *= x
+        bsum += bj
+    t *= x
+    return t, bsum
+
+
+def _log_sums(log_a: np.ndarray, log_x: np.ndarray):
+    """m = max_j (ln a_j + j ln x), sum_j w_j and sum_j j w_j, with
+    w_j = exp(ln a_j + j ln x - m), in blocks of at most _LOG_BLOCK matrix
+    elements.  Each point's bits depend on its own ln x only."""
+    j = np.arange(log_a.size, dtype=float)
+    m = np.empty(log_x.shape)
+    s0 = np.empty(log_x.shape)
+    s1 = np.empty(log_x.shape)
+    rows = max(1, _LOG_BLOCK // j.size)
+    for lo in range(0, log_x.size, rows):
+        block = slice(lo, lo + rows)
+        w = np.multiply.outer(log_x[block], j)
+        w += log_a
+        m[block] = w.max(axis=1)
+        w -= m[block, None]
+        np.exp(w, out=w)
+        # row sums, not a matrix product: BLAS would sum a row in an order
+        # that depends on how many rows share the call
+        s0[block] = w.sum(axis=1)
+        w *= j
+        s1[block] = w.sum(axis=1)
+    return m, s0, s1
+
+
+def _evaluate(a, b, log_a, sigma: float, r_max: float, r, near, far):
+    """One kernel quantity at radii r, from the split sums.
+
+    near(r, s, t, B) is called on the points with x = s^4/4 <= HORNER_X_MAX
+    (t = A - 1 and B from _horner), far(r, s, m, S0, S1) on the rest
+    (_log_sums); s = r/sigma.  Both may overwrite every argument but r,
+    which can be the caller's own array.  Validation is one min/max pair,
+    and the log-space branch runs only when the largest x exceeds the
+    split.  Returns a float for scalar r.
+
+    Raises:
+        ValueError: "evaluation outside certified range" for r outside
+            [0, r_max] (or non-finite r).
+    """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("radius values must be finite")
-    if np.any(arr < 0.0) or np.any(arr > kernel.r_max):
-        raise ValueError(
-            f"evaluation outside certified range [0, {kernel.r_max}]"
-        )
-    return arr, scalar
+    if arr.size == 0:
+        return np.zeros(arr.shape)
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("evaluation outside certified range (non-finite r)")
+    if lo < 0.0 or hi > r_max:
+        raise ValueError(f"evaluation outside certified range [0, {r_max}]")
+
+    s = arr / sigma
+    x = np.power(s, 4.0)
+    x /= 4.0
+    if x.max() <= HORNER_X_MAX:
+        out = near(arr, s, *_horner(a, b, x))
+    else:
+        out = np.empty(arr.shape)
+        inside = x <= HORNER_X_MAX
+        if np.any(inside):
+            out[inside] = near(arr[inside], s[inside], *_horner(a, b, x[inside]))
+        beyond = ~inside
+        s_far = s[beyond]
+        log_x = 4.0 * np.log(s_far) - _LN4
+        out[beyond] = far(arr[beyond], s_far, *_log_sums(log_a, log_x))
+    return float(out[0]) if scalar else out
 
 
-def _x_of(kernel: SeriesKernel, r: np.ndarray) -> np.ndarray:
-    return r**4 / (4.0 * kernel.params.sigma**4)
+def _kernel_eval(kernel: SeriesKernel, r, near, far):
+    return _evaluate(
+        kernel._a, kernel._b, kernel.log_a, kernel.params.sigma, kernel.r_max, r, near, far
+    )
 
 
-def _series_sum(kernel: SeriesKernel, x: np.ndarray) -> np.ndarray:
-    """sum_j a_j x^j by Horner; accurate for x <= 1 where terms decay."""
-    return npoly.polyval(x, kernel._a)
+def _log_u_far(r, s, m, s0, s1):
+    return m + np.log(s0)
 
 
-def _log_x_of(kernel: SeriesKernel, r: np.ndarray) -> np.ndarray:
-    """ln x = 4 ln r - ln 4 - 4 ln sigma for r > 0.
-
-    Formed from ln r rather than as ln(r^4 / (4 sigma^4)): x underflows for
-    r below about 1e-77 sigma, and ln of a subnormal or zero x is inexact or
-    -inf although ln x itself is an ordinary finite number.
-    """
-    return 4.0 * np.log(r) - math.log(4.0) - 4.0 * math.log(kernel.params.sigma)
+def _log_u_prime_far(r, s, m, s0, s1):
+    # u' = (4/r) x B(x) = (4/r) e^m sum_j j w_j
+    return _LN4 - np.log(r) + m + np.log(s1)
 
 
-def _log_terms_u(kernel: SeriesKernel, log_x: np.ndarray) -> np.ndarray:
-    # (n_points, J+1) matrix of ln(a_j x^j); r == 0 handled by callers.
-    j = np.arange(kernel.truncation_order + 1)
-    return kernel.log_a[None, :] + j[None, :] * log_x[:, None]
+def _exp_of(log_far):
+    """The far branch of a linear-space value: exp of log_far, overflowing
+    to inf without a warning where the value exceeds double range."""
+
+    def far(*sums):
+        with np.errstate(over="ignore"):
+            return np.exp(log_far(*sums))
+
+    return far
 
 
 def eval_log_u(kernel: SeriesKernel, r) -> float | np.ndarray:
-    """ln u(r) by log-sum-exp over the stored log-space terms.
+    """ln u(r): log1p(A - 1) in the Horner range, m + ln sum_j w_j beyond.
 
-    Stays finite wherever the prop-style growth bound
-    ln u <= ln alpha + x/(N+2) is finite, i.e. for every certified radius.
+    Finite for every certified radius, and accurate to relative precision
+    down to r -> 0, where ln u ~ x/(N+2).
     """
-    arr, scalar = _as_radii(kernel, r)
-    out = np.full(arr.shape, math.log(kernel.params.alpha))
-    pos = arr > 0.0
-    if np.any(pos):
-        log_x = _log_x_of(kernel, arr[pos])
-        out[pos] += logsumexp(_log_terms_u(kernel, log_x), axis=1)
-    return float(out[0]) if scalar else out
+    return _kernel_eval(kernel, r, lambda r, s, t, b: np.log1p(t), _log_u_far)
 
 
 def eval_u(kernel: SeriesKernel, r) -> float | np.ndarray:
     """u(r), truncated at the build order.
 
-    Horner on the linear coefficients for x <= 1, exp of the log-sum-exp
-    path otherwise; may overflow to inf at radii where u itself exceeds
-    double range (use eval_log_u there).
+    In the Horner range this is bit for bit the Horner value of
+    sum_j a_j x^j; beyond it, exp of eval_log_u's log-space value, which
+    overflows to inf where u itself exceeds double range (use eval_log_u
+    there).
     """
-    arr, scalar = _as_radii(kernel, r)
-    x = _x_of(kernel, arr)
-    out = np.empty(arr.shape)
-    small = x <= HORNER_X_MAX
-    if np.any(small):
-        out[small] = kernel.params.alpha * _series_sum(kernel, x[small])
-    big = ~small
-    if np.any(big):
-        big_log = math.log(kernel.params.alpha) + logsumexp(
-            _log_terms_u(kernel, _log_x_of(kernel, arr[big])), axis=1
-        )
-        with np.errstate(over="ignore"):
-            out[big] = np.exp(big_log)
-    return float(out[0]) if scalar else out
-
-
-def _log_u_prime(kernel: SeriesKernel, r: np.ndarray) -> np.ndarray:
-    """ln u'(r) for r > 0 via log-sum-exp (ln 4 - ln r + ln j + ln a_j + j ln x)."""
-    log_x = _log_x_of(kernel, r)
-    j = np.arange(1, kernel.truncation_order + 1)
-    terms = (
-        np.log(j)[None, :]
-        + kernel.log_a[None, 1:]
-        + j[None, :] * log_x[:, None]
-    )
-    return (
-        math.log(kernel.params.alpha)
-        + math.log(4.0)
-        - np.log(r)
-        + logsumexp(terms, axis=1)
-    )
+    return _kernel_eval(kernel, r, lambda r, s, t, b: t + 1.0, _exp_of(_log_u_far))
 
 
 def eval_log_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
     """ln u'(r), finite for every r in (0, r_max]; -inf at r = 0.
 
-    For x <= 1 this is ln alpha + 3 ln r - 4 ln sigma + ln(sum_j j a_j
-    x^(j-1)) with the sum by Horner, so no factor underflows however small
-    r is; beyond that it is the log-sum-exp over the stored terms.  Use it
-    wherever u' may leave the normal double range (eval_u_prime is exactly
-    0 below r ~ 1.35e-108 and overflows at large r).
+    In the Horner range this is 3 ln r - 4 ln sigma + ln B(x), so no factor
+    underflows however small r is; beyond it, ln 4 - ln r + m +
+    ln sum_j j w_j.  Use it wherever u' may leave the normal double range
+    (eval_u_prime is exactly 0 below r ~ 1.35e-108 and overflows at large
+    r).
     """
-    arr, scalar = _as_radii(kernel, r)
-    x = _x_of(kernel, arr)
-    out = np.full(arr.shape, -math.inf)
-    pos = arr > 0.0
-    small = pos & (x <= HORNER_X_MAX)
-    if np.any(small):
-        out[small] = (
-            math.log(kernel.params.alpha)
-            + 3.0 * np.log(arr[small])
-            - 4.0 * math.log(kernel.params.sigma)
-            + np.log(npoly.polyval(x[small], kernel._b[1:]))
-        )
-    big = pos & (x > HORNER_X_MAX)
-    if np.any(big):
-        out[big] = _log_u_prime(kernel, arr[big])
-    return float(out[0]) if scalar else out
+    log_sigma4 = 4.0 * math.log(kernel.params.sigma)
+
+    def near(r, s, t, b):
+        with np.errstate(divide="ignore"):  # ln 0 = -inf at the origin
+            return 3.0 * np.log(r) - log_sigma4 + np.log(b)
+
+    return _kernel_eval(kernel, r, near, _log_u_prime_far)
 
 
 def eval_u_prime(kernel: SeriesKernel, r) -> float | np.ndarray:
-    """u'(r) from the term-by-term derivative series; exactly 0 at r = 0.
+    """u'(r) = (r^3/sigma^4) B(x); exactly 0 at r = 0.
 
     Accurate to relative precision only where the result is a normal
-    double.  Near the origin u' ~ alpha r^3 / (sigma^4 (N+2)) drops into
-    the subnormal range, where it carries fewer significant bits, and is
+    double.  Near the origin u' ~ r^3 / (sigma^4 (N+2)) drops into the
+    subnormal range, where it carries fewer significant bits, and is
     exactly 0 once r^3 underflows (r below about 1.35e-108); at large r it
     overflows to inf.  Take ln u' from eval_log_u_prime, not from the log
     of this value.
     """
-    arr, scalar = _as_radii(kernel, r)
-    x = _x_of(kernel, arr)
-    out = np.zeros(arr.shape)
-    pos = arr > 0.0
-    small = pos & (x <= HORNER_X_MAX)
-    if np.any(small):
-        # (4/r) sum_j j a_j x^j recast as (r^3/sigma^4) sum_j j a_j x^(j-1),
-        # which needs no division and vanishes cleanly as r -> 0
-        rs = arr[small]
-        out[small] = (
-            kernel.params.alpha
-            * rs**3
-            / kernel.params.sigma**4
-            * npoly.polyval(x[small], kernel._b[1:])
-        )
-    big = pos & (x > HORNER_X_MAX)
-    if np.any(big):
-        with np.errstate(over="ignore"):
-            out[big] = np.exp(_log_u_prime(kernel, arr[big]))
-    return float(out[0]) if scalar else out
+    sigma4 = kernel.params.sigma**4
+    return _kernel_eval(
+        kernel, r, lambda r, s, t, b: r**3 / sigma4 * b, _exp_of(_log_u_prime_far)
+    )
 
 
 def expected_optimal_cost(kernel: SeriesKernel, r0) -> float | np.ndarray:
@@ -290,7 +319,7 @@ def expected_optimal_cost(kernel: SeriesKernel, r0) -> float | np.ndarray:
 
     This is the mean of the running cost integral under the optimal
     feedback control, started from |y(0)| = r0 and stopped when |y| first
-    reaches R.  The kernel scale alpha cancels in the log-difference.
+    reaches R.
 
     Raises:
         ValueError: "start beyond stopping boundary" when r0 > R.

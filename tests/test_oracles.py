@@ -1,9 +1,12 @@
+import dataclasses
+import math
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from hjb_planner import (
     BoundViolation,
@@ -17,7 +20,6 @@ from hjb_planner import (
     picard_step_bound,
     verify_exact_4d,
 )
-from hjb_planner import oracles
 from hjb_planner.oracles import quotient_coeffs, riccati_rate
 from hjb_planner.sweep import _corrupt
 
@@ -27,7 +29,7 @@ GRID = np.linspace(0.0, 1.0, 200)
 class TestPicard:
     def test_first_iterate_exact_form(self):
         # with a large stopping tol the returned limit is the first iterate
-        # alpha (1 + r^4 / (4 sigma^4 (N+2)))
+        # 1 + r^4 / (4 sigma^4 (N+2))
         p = ModelParams(2, 1.0, 1.0)
         got = picard_solve(p, GRID, tol=0.1)
         assert len(got.sup_diffs) == 1
@@ -235,6 +237,27 @@ class TestCheckBounds:
         assert abs(slope[9.63295e-81]) <= 1e-12
         assert slope[1.0] > 0.0
 
+    def test_margins_finite_where_rho_underflows(self, wide_kernel):
+        # rho and its envelope both underflow to 0 at these radii; the
+        # envelope margin 1 - rho/env must still come out finite, tending
+        # to 2/(N+2) at the origin
+        report = check_bounds(wide_kernel, [0.0, 1e-300, 1e-200, 1e-105, 1.0])
+        assert report.ok
+        assert all(math.isfinite(m) for _, _, m in report.rows)
+        envelope_margin = {r: m for r, name, m in report.rows if name == "rate_envelope"}
+        assert envelope_margin[1e-300] == pytest.approx(0.5, rel=1e-15)
+        assert envelope_margin[1.0] == pytest.approx(0.1063066810927880, rel=1e-13)
+
+    def test_non_finite_margin_raises(self, wide_kernel):
+        log_a = wide_kernel.log_a.copy()
+        log_a[3] = math.nan
+        broken = dataclasses.replace(wide_kernel, log_a=log_a)
+        with pytest.raises(BoundViolation, match="margin nan") as info:
+            check_bounds(broken, np.linspace(0.0, 20.0, 50))
+        assert not info.value.report.ok
+        assert math.isnan(info.value.report.min_margin)
+        assert not dataclasses.replace(info.value.report, min_margin=math.inf).ok
+
     def test_corrupted_kernel_flagged(self, std_kernel):
         with pytest.raises(BoundViolation, match="bound violation"):
             check_bounds(_corrupt(std_kernel), GRID)
@@ -321,7 +344,7 @@ def test_solver_failure_raises_with_its_message(monkeypatch, wide_params):
     def failing_solve_ivp(*args, **kwargs):
         return SimpleNamespace(success=False, message="stub: step size too small")
 
-    monkeypatch.setattr(oracles, "solve_ivp", failing_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing_solve_ivp)
     with pytest.raises(
         RuntimeError,
         match="logarithmic-derivative integration failed: stub: step size too small",

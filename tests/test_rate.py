@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from hjb_planner import rate as rate_module
+from hjb_planner import series as series_module
 from hjb_planner import (
     ModelParams,
     build_kernel,
@@ -21,8 +21,22 @@ from hjb_planner import (
     write_rate_table,
 )
 from hjb_planner.oracles import riccati_rate
+from hjb_planner.series import HORNER_X_MAX, _horner, _log_sums
 
 RHO_AT_1_N2_SIGMA1 = 0.24249961258080194  # sigma^2 u'(1)/(1*u(1)) by brute force
+
+
+def horner_rho(rate, s):
+    """s^2 B/A from the kernel-sum core's Horner sums."""
+    t, b = _horner(rate.c, rate.b, np.power(s, 4.0) / 4.0)
+    return s * s * b / (t + 1.0)
+
+
+def log_space_rho(rate, s):
+    """(4/s^2) sum_j j w_j / sum_j w_j from the core's normalized weights,
+    in the operation order rate_coeff uses."""
+    _, s0, s1 = _log_sums(rate.log_a, 4.0 * np.log(s) - math.log(4.0))
+    return s1 / s0 * 4.0 / (s * s)
 
 
 class TestRateCoeff:
@@ -55,8 +69,8 @@ class TestRateCoeff:
         # [x_switch/2, 2 x_switch], where either can be trusted
         x = np.linspace(wide_rate.x_switch / 2, 2.0 * wide_rate.x_switch, 81)
         s = (4.0 * x) ** 0.25
-        horner = rate_module._horner_ratio(wide_rate, s, x.copy())
-        log_space = rate_module._log_space_ratio(wide_rate, s)
+        horner = horner_rho(wide_rate, s)
+        log_space = log_space_rho(wide_rate, s)
         assert np.max(np.abs(horner - log_space) / log_space) <= 1e-13
 
     def test_nondecreasing_and_capped(self, wide_rate):
@@ -129,7 +143,7 @@ class TestRateCoeff:
             / npoly.polyval(x[near], wide_rate.c)
         )
         tail = ~near
-        expected[tail] = rate_module._log_space_ratio(wide_rate, s[tail])
+        expected[tail] = log_space_rho(wide_rate, s[tail])
         assert near.any() and tail.any()
         assert np.array_equal(rate_coeff(wide_rate, grid), expected)
         assert np.array_equal(rate_coeff(wide_rate, grid[near]), expected[near])
@@ -143,9 +157,9 @@ class TestRateCoeff:
         sigma = 0.5
 
         def past_switch(r):
-            return np.power(r / sigma, 4.0) / 4.0 > rate_module.HORNER_X_MAX
+            return np.power(r / sigma, 4.0) / 4.0 > HORNER_X_MAX
 
-        r_edge = sigma * (4.0 * rate_module.HORNER_X_MAX) ** 0.25
+        r_edge = sigma * (4.0 * HORNER_X_MAX) ** 0.25
         while past_switch(r_edge):
             r_edge = np.nextafter(r_edge, 0.0)
         while not past_switch(np.nextafter(r_edge, 1.0)):
@@ -153,20 +167,20 @@ class TestRateCoeff:
         r_max = float(r_edge if side < 0 else np.nextafter(r_edge, 1.0))
         rate = build_rate(build_kernel(ModelParams(2, sigma, 0.5), r_max=r_max))
         calls = []
-        log_space_ratio = rate_module._log_space_ratio
+        log_sums = series_module._log_sums
 
-        def counted(rate, s):
-            calls.append(s.size)
-            return log_space_ratio(rate, s)
+        def counted(log_a, log_x):
+            calls.append(log_x.size)
+            return log_sums(log_a, log_x)
 
-        monkeypatch.setattr(rate_module, "_log_space_ratio", counted)
+        monkeypatch.setattr(series_module, "_log_sums", counted)
         grid = np.linspace(0.0, r_max, 33)
         rho = rate_coeff(rate, grid)
         assert (calls == [1]) == (side > 0) and (calls == []) == (side < 0)
         assert np.all(np.isfinite(rho)) and np.all(np.diff(rho) >= 0.0)
         assert rate_coeff(rate, r_max) == rho[-1]
         s_max = np.asarray([r_max / sigma])
-        horner = rate_module._horner_ratio(rate, s_max, s_max**4 / 4.0)
+        horner = horner_rho(rate, s_max)
         assert rho[-1] == pytest.approx(horner[0], rel=1e-13)
 
     @pytest.mark.parametrize(

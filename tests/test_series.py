@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from hjb_planner import (
     ModelParams,
@@ -15,7 +16,7 @@ from hjb_planner import (
     eval_u_prime,
     expected_optimal_cost,
 )
-from hjb_planner.series import _log_u_prime, _series_sum, _x_of
+from hjb_planner.series import HORNER_X_MAX, _horner, _log_sums
 
 # Brute-force partial sums of the coefficient formula at 40 decimal digits
 # (mpmath), frozen; keys are (n_goods, sigma, r).
@@ -41,8 +42,9 @@ COST_N2_SIGMA1_R1 = 0.12309943837096261  # 2 ln u(1), N=2, sigma=1
 
 class TestModelParams:
     def test_accepts_valid(self):
-        p = ModelParams(n_goods=3, sigma=0.7, radius=2.5)
-        assert p.alpha == 1.0
+        p = ModelParams(n_goods=np.int64(3), sigma=1, radius=2.5)
+        assert (p.n_goods, p.sigma, p.radius) == (3, 1.0, 2.5)
+        assert type(p.n_goods) is int and type(p.sigma) is float
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -52,7 +54,6 @@ class TestModelParams:
             dict(n_goods=2, sigma=-1.0, radius=1.0),
             dict(n_goods=2, sigma=1.0, radius=0.0),
             dict(n_goods=2, sigma=math.inf, radius=1.0),
-            dict(n_goods=2, sigma=1.0, radius=1.0, alpha=2.0),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -125,22 +126,34 @@ class TestEvaluation:
         assert eval_log_u(wide_kernel, 20.0) == pytest.approx(
             LOG_U_20_N2_SIGMA_HALF, rel=1e-14
         )
-        x = _x_of(wide_kernel, np.asarray([20.0]))[0]
+        x = (20.0 / 0.5) ** 4 / 4.0
         assert eval_log_u(wide_kernel, 20.0) <= x / 4  # growth bound, log form
 
     def test_log_and_linear_paths_agree(self, wide_kernel):
-        # Horner vs log-sum-exp are independent summations for x <= 1
-        grid = np.linspace(0.05, 15.0, 97)
-        u = eval_u(wide_kernel, grid)
-        log_u = eval_log_u(wide_kernel, grid)
-        assert np.max(np.abs(np.exp(log_u) - u) / u) < 1e-13
+        # Horner and the normalized log-space weights are independent
+        # summations of A and B; both can be trusted across the split
+        x = np.linspace(HORNER_X_MAX / 2, 2.0 * HORNER_X_MAX, 81)
+        log_x = np.log(x)
+        t, b = _horner(wide_kernel._a, wide_kernel._b, x)
+        m, s0, s1 = _log_sums(wide_kernel.log_a, log_x)
+        log_a_sum = m + np.log(s0)
+        log_b_sum = m + np.log(s1) - log_x
+        assert np.max(np.abs(np.log1p(t) - log_a_sum) / log_a_sum) < 1e-13
+        assert np.max(np.abs(np.log(b) - log_b_sum) / np.abs(log_b_sum)) < 1e-13
 
-    def test_alpha_is_a_plain_post_multiplier(self, std_kernel):
-        for r in (0.0, 0.3, 1.0):
-            x = _x_of(std_kernel, np.asarray([r]))
-            assert eval_u(std_kernel, r) == std_kernel.params.alpha * float(
-                _series_sum(std_kernel, x)[0]
-            )
+    def test_alpha_is_a_plain_post_multiplier(self, std_kernel, wide_kernel):
+        # u(0) = 1, and in the Horner range u is bit for bit the Horner
+        # value of sum_j a_j x^j (a_0 = 1 exactly, so t + 1.0 loses nothing)
+        for kernel in (std_kernel, wide_kernel):
+            sigma = kernel.params.sigma
+            r_top = min(kernel.r_max, 0.999 * sigma * (4.0 * HORNER_X_MAX) ** 0.25)
+            r = np.linspace(0.0, r_top, 101)
+            x = np.power(r / sigma, 4.0) / 4.0
+            assert np.array_equal(eval_u(kernel, r), npoly.polyval(x, kernel._a))
+            for point in r[::10]:
+                assert eval_u(kernel, float(point)) == npoly.polyval(
+                    np.power(point / sigma, 4.0) / 4.0, kernel._a
+                )
 
     def test_outside_certified_range(self, std_kernel):
         for bad in (1.0000001, -0.1, math.nan):
@@ -194,8 +207,15 @@ class TestEvaluation:
         # N=2, sigma=0.5: u' = r^3 / (sigma^4 (N+2)) (1 + O(x)) = 4 r^3
         expected = 3 * math.log(r) + math.log(4.0)
         assert eval_log_u_prime(wide_kernel, r) == pytest.approx(expected, rel=1e-13)
-        (log_sum_exp,) = _log_u_prime(wide_kernel, np.asarray([r]))
-        assert log_sum_exp == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n,sigma", [(2, 0.5), (100, 2.0)])
+    @pytest.mark.parametrize("s", [1e-30, 1e-5])
+    def test_log_u_relative_precision_near_origin(self, n, sigma, s):
+        # ln u = x/(N+2) + O(x^2): log1p of A - 1 keeps every digit, where
+        # ln of A itself would round to 0
+        kernel = build_kernel(ModelParams(n, sigma, 1.0), r_max=max(1.0, 2.0 * sigma))
+        expected = s**4 / 4.0 / (n + 2)
+        assert eval_log_u(kernel, s * sigma) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_log_u_prime_origin_and_range(self, wide_kernel):
         assert eval_log_u_prime(wide_kernel, 0.0) == -math.inf

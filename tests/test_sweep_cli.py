@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hjb_planner
 from hjb_planner import SweepSpec, run_simulate, run_verify, sweep, sweep_rate
 from hjb_planner.cli import main
 from hjb_planner.simulate import SimConfig
@@ -255,3 +260,17 @@ class TestCli:
     def test_rate_requires_radius_argument(self):
         with pytest.raises(SystemExit):
             main(["rate", "--n", "2", "--sigma", "1"])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the oracles' ODE solves, so simulate, sweep and rate
+    # start without it
+    code = (
+        "import sys, hjb_planner.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hjb_planner.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
