@@ -23,6 +23,8 @@ from .sweep import SweepSpec, run_simulate, run_verify, sweep_rate
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
+        if int(steps) < 1:
+            raise ValueError("a grid needs at least one step")
         grid = np.linspace(float(lo), float(hi), int(steps))
     except ValueError as exc:
         raise SystemExit(f"bad --r-grid {text!r}, expected min:max:steps") from exc

@@ -485,7 +485,8 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
     margin overflows or passes through an underflowed rho: the kernel
     margins are 1 - value/bound formed in log space, and the envelope
     margin 1 - rho/env is formed as 1 - (B/A) (N + hypot(N, 2 s^2))/2, with
-    s = r/sigma.  Every margin must be finite and above -1e-12.
+    s = r/sigma; at r = 0 it is its limit 2/(N+2).  Every margin must be
+    finite and above -1e-12.
 
     Raises:
         BoundViolation: naming the failing bound and grid point (the full
@@ -520,12 +521,13 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
         "rate_envelope": 1.0 - b_over_a * (n + np.hypot(n, 2.0 * s2)) / 2.0,
     }
     # Origin: u = 1 meets its bound with equality, u' and the rate are
-    # exactly 0 against bounds 0, 1, 0.
+    # exactly 0 against bounds 0 and 1, and 1 - rho/env takes its limit
+    # 1 - a_1 N = 2/(N+2), so the envelope column has no jump at r = 0.
     origin = {
         "kernel_growth": 0.0,
         "kernel_slope_growth": 0.0,
         "rate_sigma_bound": 1.0,
-        "rate_envelope": 0.0,
+        "rate_envelope": 2.0 / (n + 2),
     }
 
     names = ("kernel_growth", "kernel_slope_growth", "rate_sigma_bound", "rate_envelope")

@@ -5,17 +5,16 @@ Everything here is a thin orchestration layer; every number written to a
 file is reproducible by calling the library operations with the same
 parameters.  File writes are atomic (temp + rename) and floats carry 17
 significant digits, so reruns with identical parameters produce
-byte-identical outputs.  The HJB_PLANNER_THREADS environment variable caps
-how many sweep/verify cells run concurrently (unset means 1, serial; any
-other value must be a positive integer).
+byte-identical outputs.  Sweep and verify cells run serially, in a fixed
+order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,29 +54,15 @@ EXACT4D_TOL = 1e-9
 PICARD_BOUND_SLACK = 1e-9  # relative quadrature slack on the factorial envelope
 
 
-def _thread_cap() -> int:
-    """HJB_PLANNER_THREADS as a positive integer; 1 when it is unset.
-
-    Raises:
-        ValueError: naming the variable and its value, for any set value
-            that is not a positive decimal integer.
-    """
-    raw = os.environ.get("HJB_PLANNER_THREADS")
-    if raw is None:
-        return 1
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"HJB_PLANNER_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _map_cells(fn, cells):
-    """Run fn over cells, serially or on the capped thread pool; results
-    come back in cell order either way."""
-    workers = min(_thread_cap(), max(1, len(cells)))
-    if workers == 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
+def _goods_count(n) -> int:
+    """A sweep's N as an exact integer >= 1; 2.5 is refused, not truncated."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValueError(f"sweep N must be an integer, got {n!r}") from None
+    if count < 1:
+        raise ValueError(f"sweep N must be >= 1, got {n!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -90,12 +75,15 @@ class SweepSpec:
     output_dir: Path
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_goods_count(n) for n in self.n_list))
         object.__setattr__(self, "sigma_list", tuple(float(s) for s in self.sigma_list))
         object.__setattr__(self, "r_grid", np.asarray(self.r_grid, dtype=float))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if not self.n_list or not self.sigma_list or self.r_grid.size == 0:
             raise ValueError("sweep axes must be non-empty")
+        for s in self.sigma_list:
+            if not (math.isfinite(s) and s > 0.0):
+                raise ValueError(f"sweep sigma must be a positive finite real, got {s!r}")
         if np.any(self.r_grid < 0) or not np.all(np.isfinite(self.r_grid)):
             raise ValueError("r grid must be finite and nonnegative")
         if float(np.max(self.r_grid)) <= 0.0:
@@ -116,37 +104,31 @@ class SweepTable:
 def sweep_rate(spec: SweepSpec) -> SweepTable:
     """rho(r) over the full (N, sigma, r) cross product.
 
-    Cells whose parameters are rejected with a ValueError (the series
-    builder's truncation overflow at extreme r/sigma ratios) are reported
+    A cell whose kernel build is refused with a ValueError (the series
+    builder's truncation overflow at extreme r/sigma ratios) is reported
     with an empty rate rather than aborting the sweep, and
     rate_sweep_skipped.txt gets one line per such cell naming N, sigma and
     the reason.  Any other exception propagates.  Writes rate_sweep.csv
     into the requested output directory and returns the table.
     """
     r_max = float(np.max(spec.r_grid))
-    cells = [(n, s) for n in spec.n_list for s in spec.sigma_list]
-
-    def one_cell(cell):
-        n, s = cell
-        try:
-            params = ModelParams(n_goods=n, sigma=s, radius=r_max)
-            rate = build_rate(build_kernel(params, r_max=r_max))
-            values = np.atleast_1d(rate_coeff(rate, spec.r_grid))
-            return [(n, s, float(r), float(v)) for r, v in zip(spec.r_grid, values)]
-        except ValueError as exc:
-            note = f"skipped cell N={n} sigma={s!r}: {exc}"
-            return [(n, s, float(r), "") for r in spec.r_grid] + [("#", "", note, "")]
-
+    radii = spec.r_grid.tolist()
     rows: list = []
     notes: list = []
-    for cell_rows in _map_cells(one_cell, cells):
-        for row in cell_rows:
-            (notes if row[0] == "#" else rows).append(row)
+    for n, s in itertools.product(spec.n_list, spec.sigma_list):
+        params = ModelParams(n_goods=n, sigma=s, radius=r_max)
+        try:
+            kernel = build_kernel(params, r_max=r_max)
+        except ValueError as exc:
+            notes.append(f"skipped cell N={n} sigma={s!r}: {exc}\n")
+            rows.extend((n, s, r, "") for r in radii)
+            continue
+        values = np.atleast_1d(rate_coeff(build_rate(kernel), spec.r_grid))
+        rows.extend((n, s, r, v) for r, v in zip(radii, values.tolist()))
     table = SweepTable(rows=tuple(rows))
     table.write(spec.output_dir / "rate_sweep.csv")
     if notes:
-        text = "\n".join(note[2] for note in notes) + "\n"
-        atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", text)
+        atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", "".join(notes))
     return table
 
 
@@ -181,42 +163,33 @@ def run_verify(
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
 
-    combos = [
-        (n, s, radius)
-        for n in n_list
-        for s in sigma_list
-        for radius in radius_list
-    ]
-
-    def one_combo(combo):
-        n, s, radius = combo
+    eq_rows = []
+    bound_rows = []
+    bound_failures: list[str] = []
+    min_margin = math.inf
+    for n, s, radius in itertools.product(n_list, sigma_list, radius_list):
         params = ModelParams(n_goods=n, sigma=s, radius=radius)
         grid = np.linspace(0.0, radius, grid_points)
         kernel = build_kernel(params, r_max=radius)
-        if inject_fault and combo == combos[0]:
+        if inject_fault and not eq_rows:
             kernel = _corrupt(kernel)
         series_vals = np.atleast_1d(eval_u(kernel, grid))
         picard = picard_solve(params, grid)
         ode = ode_solve(params, radius, grid=grid)
-        eq_row = (
-            n,
-            s,
-            radius,
+        diffs = (
             max_rel_diff(series_vals, picard.values),
             max_rel_diff(series_vals, ode.values),
             max_rel_diff(picard.values, ode.values),
         )
+        eq_rows.append((n, s, radius, *diffs))
         try:
             report = check_bounds(kernel, grid)
-            bound_err = None
         except BoundViolation as exc:
             report = exc.report
-            bound_err = str(exc)
-        return eq_row, report, bound_err
+            bound_failures.append(str(exc))
+        bound_rows.extend((n, s, radius, *row) for row in report.rows)
+        min_margin = min(min_margin, report.min_margin)
 
-    results = _map_cells(one_combo, combos)
-
-    eq_rows = [res[0] for res in results]
     worst_eq = max(max(row[3:6]) for row in eq_rows)
     write_csv(
         out / "verify_equivalence.csv",
@@ -229,21 +202,15 @@ def run_verify(
         failures.append(f"equivalence (worst rel diff {worst_eq:.3e} > {EQUIVALENCE_TOL})")
         echo(f"equivalence: FAIL (worst pairwise rel diff {worst_eq:.3e})")
 
-    bound_rows = []
-    for (n, s, radius), (_, report, bound_err) in zip(combos, results):
-        bound_rows.extend((n, s, radius, *row) for row in report.rows)
-        if bound_err is not None:
-            failures.append(bound_err)
     write_csv(
         out / "verify_bounds.csv",
         ["N", "sigma", "radius", "r", "bound_name", "margin"],
         bound_rows,
     )
-    bound_failures = [f for f in failures if f.startswith("bound violation")]
+    failures.extend(bound_failures)
     if bound_failures:
         echo(f"bounds: FAIL ({bound_failures[0]})")
     else:
-        min_margin = min(res[1].min_margin for res in results)
         echo(f"bounds: PASS (min margin {min_margin:.3e})")
 
     exact_rows = []

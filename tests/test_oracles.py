@@ -246,6 +246,8 @@ class TestCheckBounds:
         assert all(math.isfinite(m) for _, _, m in report.rows)
         envelope_margin = {r: m for r, name, m in report.rows if name == "rate_envelope"}
         assert envelope_margin[1e-300] == pytest.approx(0.5, rel=1e-15)
+        assert envelope_margin[0.0] == 2.0 / (wide_kernel.params.n_goods + 2)
+        assert envelope_margin[0.0] == pytest.approx(envelope_margin[1e-300], abs=1e-15)
         assert envelope_margin[1.0] == pytest.approx(0.1063066810927880, rel=1e-13)
 
     def test_non_finite_margin_raises(self, wide_kernel):

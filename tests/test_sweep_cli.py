@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ import hjb_planner
 from hjb_planner import SweepSpec, run_simulate, run_verify, sweep, sweep_rate
 from hjb_planner.cli import main
 from hjb_planner.simulate import SimConfig
-from hjb_planner.sweep import _thread_cap
 
 
 @pytest.fixture(scope="module")
@@ -100,30 +100,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(n_list=(2,), sigma_list=(1.0,), r_grid=[0.0], output_dir=tmp_path)
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch, small_sweep):
-        spec, _ = small_sweep
-        serial = (spec.output_dir / "rate_sweep.csv").read_bytes()
-        monkeypatch.setenv("HJB_PLANNER_THREADS", "4")
-        threaded_spec = SweepSpec(
-            n_list=spec.n_list,
-            sigma_list=spec.sigma_list,
-            r_grid=spec.r_grid,
-            output_dir=tmp_path,
-        )
-        sweep_rate(threaded_spec)
-        assert (tmp_path / "rate_sweep.csv").read_bytes() == serial
+    @pytest.mark.parametrize("n", [0, -1, 2.5, np.float64(2.0)])
+    def test_spec_rejects_bad_goods_counts(self, tmp_path, n):
+        # refused at the boundary, not truncated by int() or left as an
+        # empty cell
+        with pytest.raises(ValueError, match="sweep N .*got " + re.escape(repr(n))):
+            SweepSpec(n_list=(2, n), sigma_list=(1.0,), r_grid=[1.0], output_dir=tmp_path)
 
-    def test_thread_cap_unset_is_serial(self, monkeypatch):
-        monkeypatch.delenv("HJB_PLANNER_THREADS", raising=False)
-        assert _thread_cap() == 1
-        monkeypatch.setenv("HJB_PLANNER_THREADS", "3")
-        assert _thread_cap() == 3
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, 0.0, math.inf])
+    def test_spec_rejects_bad_sigmas(self, tmp_path, sigma):
+        with pytest.raises(ValueError, match="sweep sigma .*got " + re.escape(repr(sigma))):
+            SweepSpec(n_list=(2,), sigma_list=(1.0, sigma), r_grid=[1.0], output_dir=tmp_path)
 
-    @pytest.mark.parametrize("raw", ["abc", "4x", "0", "-3", ""])
-    def test_thread_cap_rejects_non_positive_integers(self, monkeypatch, raw):
-        monkeypatch.setenv("HJB_PLANNER_THREADS", raw)
-        with pytest.raises(ValueError, match=f"HJB_PLANNER_THREADS .* got '{raw}'"):
-            _thread_cap()
+    @pytest.mark.parametrize("axis", [["--n", "0"], ["--sigma=-1,nan,0"]])
+    def test_cli_bad_axis_writes_nothing(self, tmp_path, axis):
+        with pytest.raises(ValueError, match="sweep"):
+            main(["sweep", *axis, "--r-grid", "0:1:5", "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
 
 
 class TestRunVerify:
@@ -256,6 +249,11 @@ class TestCli:
              "--grid-points", "80", "--out", str(tmp_path)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("verb", ["rate", "sweep"])
+    def test_empty_r_grid_rejected(self, tmp_path, verb):
+        with pytest.raises(SystemExit, match="bad --r-grid '0:1:0'"):
+            main([verb, "--r-grid", "0:1:0", "--out", str(tmp_path)])
 
     def test_rate_requires_radius_argument(self):
         with pytest.raises(SystemExit):
