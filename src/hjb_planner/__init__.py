@@ -15,7 +15,6 @@ from .oracles import (
 )
 from .params import ModelParams
 from .rate import (
-    ControlVector,
     RateSeries,
     build_rate,
     envelope,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BoundViolation",
-    "ControlVector",
     "ModelParams",
     "PathResult",
     "RadialGridFn",

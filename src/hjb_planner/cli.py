@@ -134,7 +134,15 @@ def _effective(args, config: dict[str, str], key: str, default=None):
 
 
 def main(argv=None) -> int:
+    """Run one verb; a refused value exits with one line, not a traceback."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        raise SystemExit(f"hjb-planner {args.command}: {exc}") from None
+
+
+def _run(args) -> int:
     config = _read_config(args.config)
 
     def get(key, default=None):
@@ -216,9 +224,10 @@ def main(argv=None) -> int:
         starts = _parse_floats(get("r0", "0"))
         params = ModelParams(n_goods=n, sigma=sigma, radius=radius)
         kernel = build_kernel(params, r_max=radius)
+        costs = [float(expected_optimal_cost(kernel, r0)) for r0 in starts]
         print("r0,cost")
-        for r0 in starts:
-            print(f"{fmt(r0)},{fmt(float(expected_optimal_cost(kernel, r0)))}")
+        for r0, cost in zip(starts, costs):
+            print(f"{fmt(r0)},{fmt(cost)}")
         return 0
 
     raise SystemExit(f"unknown command {args.command!r}")

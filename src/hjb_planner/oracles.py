@@ -48,17 +48,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fileio import write_csv
 from .params import ModelParams
 from .series import SeriesKernel, _kernel_eval, eval_log_u, eval_log_u_prime
 
 MARGIN_FLOOR = -1e-12
 
+_PICARD_MAX_ITER = 200
+_PICARD_TOL = 1e-10  # sup-difference of successive iterates that stops a level
 _QUAD_SELF_CONSISTENCY = 1e-10
 _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps  # DOP853 clamps rtol below this
+_ODE_RTOL = 1e-12
 _RICCATI_S0 = 1e-6  # start of the Riccati solve, in s = r/sigma
 _RICCATI_RTOL = 1e-12
 
@@ -69,7 +70,6 @@ class RadialGridFn:
 
     r: np.ndarray
     values: np.ndarray
-    meta: str  # origin tag: picard | ode | exact4d
     sup_diffs: tuple[float, ...] | None = None  # picard successive sup-differences
     refinement_level: int | None = None  # picard: level the refinement stopped at
     nfev: int | None = None  # ode: right-hand-side evaluations
@@ -132,13 +132,13 @@ def _monomial_weights(t: np.ndarray, power: int):
     return np.maximum(w_lo, 0.0), np.maximum(w_hi, 0.0)
 
 
-def _picard_once(params: ModelParams, t: np.ndarray, stride: int, k_max: int, tol: float):
+def _picard_once(params: ModelParams, t: np.ndarray, stride: int):
     """Run the iteration on a fixed grid t.
 
     Returns the final iterate on t and the successive differences
     u_(k+1) - u_k of every iteration, restricted to every stride-th node
     (one row per iteration).  Iteration stops once the largest difference
-    over all of t falls below tol.
+    over all of t falls below _PICARD_TOL.
     """
     n = params.n_goods
     inv_sigma4 = 1.0 / params.sigma**4
@@ -157,7 +157,7 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int, k_max: int, to
     seg_hi = np.empty(t.size - 1)
     step = np.empty_like(t)
     steps: list[np.ndarray] = []
-    for _ in range(k_max):
+    for _ in range(_PICARD_MAX_ITER):
         np.multiply(w_lo, u[:-1], out=seg)
         np.multiply(w_hi, u[1:], out=seg_hi)
         np.add(seg, seg_hi, out=seg)
@@ -178,11 +178,11 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int, k_max: int, to
         sup = float(np.max(step))
         steps.append(step[::stride].copy())
         u, u_next = u_next, u
-        if sup < tol:
+        if sup < _PICARD_TOL:
             return u, steps
     raise RuntimeError(
-        f"Picard not converged after {k_max} iterations "
-        f"(achieved sup-difference {sup:.3e}, tol {tol:.3e})"
+        f"Picard not converged after {_PICARD_MAX_ITER} iterations "
+        f"(achieved sup-difference {sup:.3e}, tol {_PICARD_TOL:.3e})"
     )
 
 
@@ -191,23 +191,17 @@ def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def picard_solve(
-    params: ModelParams,
-    grid,
-    k_max: int = 200,
-    tol: float = 1e-10,
-    quad_tol: float = _QUAD_SELF_CONSISTENCY,
-) -> RadialGridFn:
+def picard_solve(params: ModelParams, grid) -> RadialGridFn:
     """Limit of the integral-form iterates on the caller's grid.
 
     Quadrature is composite trapezoid on refinement level L, which splits
     every grid interval into 2^L equal pieces.  On each level the iteration
     stops when the largest difference of successive iterates falls below
-    tol (or raises "Picard not converged" at k_max).  The trapezoid error
-    expands in even powers of the step, so one Richardson step on two
-    adjacent levels, E_L = (4 U_L - U_(L-1))/3 on the caller's grid, is
-    fourth-order.  Levels are added from L = 2 until
-    max |E_L - E_(L-1)| / |E_L| < quad_tol (first possible at L = 4);
+    1e-10 (or raises "Picard not converged" after 200 iterations).  The
+    trapezoid error expands in even powers of the step, so one Richardson
+    step on two adjacent levels, E_L = (4 U_L - U_(L-1))/3 on the caller's
+    grid, is fourth-order.  Levels are added from L = 2 until
+    max |E_L - E_(L-1)| / |E_L| < 1e-10 (first possible at L = 4);
     E_L is returned, with the stopping level as refinement_level.
 
     sup_diffs[k] is the maximum over the caller's grid of the same
@@ -225,31 +219,29 @@ def picard_solve(
         raise ValueError("grid must be 1-D, strictly increasing, starting at 0")
     if grid[-1] > params.radius:
         raise ValueError(f"grid must stay within [0, radius={params.radius}]")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
 
     prev_u = prev_steps = prev_e = None
     best_gap = math.inf
     for level in range(2, _MAX_REFINE_DOUBLINGS + 1):
         per = 1 << level
-        u_fine, steps = _picard_once(params, _refine(grid, per), per, k_max, tol)
+        u_fine, steps = _picard_once(params, _refine(grid, per), per)
         u = u_fine[::per]
         if prev_u is not None:
             e = _richardson(u, prev_u)
             if prev_e is not None:
                 gap = float(np.max(np.abs(e - prev_e) / np.abs(e)))
                 best_gap = min(best_gap, gap)
-                if gap < quad_tol:
+                if gap < _QUAD_SELF_CONSISTENCY:
                     sup_diffs = [
                         float(np.max(_richardson(fine, coarse)))
                         for fine, coarse in zip(steps, prev_steps)
                     ] + [float(np.max(d)) for d in steps[len(prev_steps):]]
-                    return RadialGridFn(grid, e, "picard", tuple(sup_diffs), level)
+                    return RadialGridFn(grid, e, tuple(sup_diffs), level)
             prev_e = e
         prev_u, prev_steps = u, steps
     raise RuntimeError(
         "Picard quadrature refinement did not reach self-consistency "
-        f"{quad_tol:.1e}: best relative gap {best_gap:.3e}, "
+        f"{_QUAD_SELF_CONSISTENCY:.1e}: best relative gap {best_gap:.3e}, "
         f"last level {_MAX_REFINE_DOUBLINGS}"
     )
 
@@ -260,12 +252,7 @@ def picard_step_bound(params: ModelParams, r: float, k: int) -> float:
     return 1.0 / math.factorial(k + 1) * q ** (k + 1)
 
 
-def ode_solve(
-    params: ModelParams,
-    r_max: float,
-    step_tol: float = 1e-12,
-    grid=None,
-) -> RadialGridFn:
+def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
     """Direct integration of u'' + (N-1)/r u' = r^2 u / sigma^4.
 
     The origin is a removable coordinate singularity and (N-1)/r makes the
@@ -276,25 +263,17 @@ def ode_solve(
     and u' (a_4 x^4 and 4 a_4 x^3 / a_1), capped at r_max/2 so at least
     half the range is integrated.  Grid points at r <= r0 take the series
     value; the rest come from an adaptive 8th-order Runge-Kutta method
-    (DOP853) on (r0, r_max] at relative tolerance step_tol.  nfev counts
+    (DOP853) on (r0, r_max] at relative tolerance 1e-12.  nfev counts
     right-hand-side evaluations (0 when every grid point lies within r0)
     and series_points the grid points filled from the series.
 
     Raises:
-        ValueError: step_tol not finite or below the integrator's relative
-            tolerance floor of 100 machine epsilons.
         RuntimeError: "direct integration range exceeded" when the growth
             bound says u(r_max) would overflow double precision (use the
             logarithmic-derivative route instead).
     """
     from scipy.integrate import solve_ivp
 
-    step_tol = float(step_tol)
-    if not (math.isfinite(step_tol) and step_tol >= _RTOL_FLOOR):
-        raise ValueError(
-            f"step_tol must be finite and >= {_RTOL_FLOOR:.3e} "
-            f"(100 machine epsilons, the DOP853 rtol floor), got {step_tol!r}"
-        )
     r_max = float(r_max)
     n = params.n_goods
     sigma4 = params.sigma**4
@@ -304,8 +283,6 @@ def ode_solve(
             "direct integration range exceeded (u would overflow; "
             "use the logarithmic-derivative path)"
         )
-    if grid is None:
-        grid = np.linspace(0.0, r_max, 200)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
         raise ValueError("grid must be strictly increasing from 0 within [0, r_max]")
@@ -339,7 +316,7 @@ def ode_solve(
             (r0, r_max),
             [u0, up0],
             method="DOP853",
-            rtol=step_tol,
+            rtol=_ODE_RTOL,
             atol=1e-30,
             t_eval=grid[~head],
             dense_output=False,
@@ -348,9 +325,7 @@ def ode_solve(
             raise RuntimeError(f"radial ODE integration failed: {sol.message}")
         values[~head] = sol.y[0]
         nfev = int(sol.nfev)
-    return RadialGridFn(
-        grid, values, "ode", nfev=nfev, series_points=int(np.count_nonzero(head))
-    )
+    return RadialGridFn(grid, values, nfev=nfev, series_points=int(np.count_nonzero(head)))
 
 
 def quotient_coeffs(n_goods: int, order: int) -> np.ndarray:
@@ -455,16 +430,6 @@ class BoundReport:
     @property
     def ok(self) -> bool:
         return math.isfinite(self.min_margin) and self.min_margin >= MARGIN_FLOOR
-
-    def write_csv(self, path) -> None:
-        write_csv(path, ["r", "bound_name", "margin"], self.rows)
-
-    def summary(self) -> str:
-        state = "all bounds hold" if self.ok else "BOUND VIOLATION"
-        return (
-            f"{state}: min margin {self.min_margin:.3e} "
-            f"({self.worst_bound} at r={self.worst_r:.6g}, floor {MARGIN_FLOOR:.0e})"
-        )
 
 
 class BoundViolation(RuntimeError):

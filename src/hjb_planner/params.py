@@ -7,6 +7,14 @@ import operator
 from dataclasses import dataclass
 
 
+def exact_int(name: str, value) -> int:
+    """value as an exact int; a ValueError naming the field refuses 2.5 and 2.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Problem constants shared by every module.
@@ -26,7 +34,7 @@ class ModelParams:
     radius: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_goods", operator.index(self.n_goods))
+        object.__setattr__(self, "n_goods", exact_int("n_goods", self.n_goods))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "radius", float(self.radius))
         if self.n_goods < 1:

@@ -47,13 +47,6 @@ class RateSeries:
     r_max: float
 
 
-@dataclass(frozen=True, eq=False)
-class ControlVector:
-    """Production-rate deviations for each good; always rho(|y|) * y."""
-
-    p: np.ndarray
-
-
 def build_rate(kernel: SeriesKernel) -> RateSeries:
     """Bind a kernel's coefficient arrays for rate evaluation; computes nothing."""
     return RateSeries(
@@ -103,8 +96,8 @@ def _rho_far(r, s, m, s0, s1):
     return s1
 
 
-def feedback(rate: RateSeries, y) -> ControlVector:
-    """Vector control p_i = rho(|y|) y_i; the zero vector when y = 0.
+def feedback(rate: RateSeries, y) -> np.ndarray:
+    """Vector control p with p_i = rho(|y|) y_i; the zero vector when y = 0.
 
     Raises:
         ValueError: "invalid inventory state" for non-finite components or
@@ -119,8 +112,8 @@ def feedback(rate: RateSeries, y) -> ControlVector:
         raise ValueError("invalid inventory state: non-finite components")
     r = float(np.linalg.norm(y_arr))
     if r == 0.0:
-        return ControlVector(p=np.zeros_like(y_arr))
-    return ControlVector(p=rate_coeff(rate, r) * y_arr)
+        return np.zeros_like(y_arr)
+    return rate_coeff(rate, r) * y_arr
 
 
 def envelope(params: ModelParams, r) -> float | np.ndarray:

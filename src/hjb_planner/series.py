@@ -54,7 +54,8 @@ from .params import ModelParams
 # so this admits x_max ~ 1.6e7 before build_kernel refuses.
 _TRUNCATION_CAP = 2000
 
-_DEFAULT_TERM_TOL = 1e-15
+# The first omitted term at r_max stays below this fraction of the partial sum.
+_TERM_TOL = 1e-15
 
 # Horner for x <= HORNER_X_MAX, where the terms decay; log space beyond.
 HORNER_X_MAX = 1.0
@@ -72,15 +73,14 @@ class SeriesKernel:
 
     log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0).
     Evaluations are certified on [0, r_max]: the truncation order was chosen
-    so the first omitted term at r_max is below term_tol times the partial
-    sum.  Instances are immutable and all evaluation functions are pure, so
-    a kernel can be shared freely across threads.
+    so the first omitted term at r_max is below _TERM_TOL = 1e-15 times the
+    partial sum.  Instances are immutable and all evaluation functions are
+    pure, so a kernel can be shared freely across threads.
     """
 
     params: ModelParams
     log_a: np.ndarray
     truncation_order: int
-    term_tol: float
     r_max: float
     # Linear-space coefficients for the Horner branch (a_j and j*a_j);
     # entries that underflow to 0.0 are beyond double precision anyway for
@@ -89,33 +89,25 @@ class SeriesKernel:
     _b: np.ndarray = field(repr=False, default=None)
 
 
-def build_kernel(
-    params: ModelParams,
-    term_tol: float = _DEFAULT_TERM_TOL,
-    r_max: float | None = None,
-) -> SeriesKernel:
+def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKernel:
     """Choose a truncation order against r_max and store log coefficients.
 
-    The order J is the smallest with term_{J+1}(x_max) < term_tol * partial
+    The order J is the smallest with term_{J+1}(x_max) < 1e-15 * partial
     sum once the terms have passed their hump, evaluated at
     x_max = r_max^4 / (4 sigma^4).
 
     Raises:
-        ValueError: if term_tol is outside (0, 1), r_max < params.radius, or
-            the required order exceeds the hard cap ("series truncation
-            overflow"); shrink r_max or raise term_tol in that case.
+        ValueError: if r_max < params.radius, or the required order exceeds
+            the hard cap ("series truncation overflow"); shrink r_max in that
+            case.
     """
-    if r_max is None:
-        r_max = params.radius
-    r_max = float(r_max)
-    if not (0.0 < term_tol < 1.0):
-        raise ValueError(f"term_tol must lie in (0, 1), got {term_tol}")
+    r_max = float(params.radius if r_max is None else r_max)
     if not (math.isfinite(r_max) and r_max >= params.radius):
         raise ValueError(f"r_max must be finite and >= radius, got {r_max}")
 
     n = params.n_goods
     log_x = 4.0 * math.log(r_max) - math.log(4.0) - 4.0 * math.log(params.sigma)
-    log_tol = math.log(term_tol)
+    log_tol = math.log(_TERM_TOL)
 
     log_a = [0.0]
     log_sum = 0.0  # ln of the partial sum at x_max
@@ -126,7 +118,7 @@ def build_kernel(
             raise ValueError(
                 "series truncation overflow: order cap "
                 f"{_TRUNCATION_CAP} exceeded for r_max={r_max}, "
-                f"sigma={params.sigma} (shrink r_max or raise term_tol)"
+                f"sigma={params.sigma} (shrink r_max)"
             )
         cand = log_a[j - 1] - math.log(j) - math.log(n + 4 * j - 2)
         term = cand + j * log_x
@@ -145,7 +137,6 @@ def build_kernel(
         params=params,
         log_a=log_a_arr,
         truncation_order=len(log_a_arr) - 1,
-        term_tol=float(term_tol),
         r_max=r_max,
         _a=a,
         _b=b,
@@ -326,7 +317,10 @@ def expected_optimal_cost(kernel: SeriesKernel, r0) -> float | np.ndarray:
     """
     arr = np.atleast_1d(np.asarray(r0, dtype=float))
     if np.any(arr > kernel.params.radius):
-        raise ValueError("start beyond stopping boundary (r0 > radius)")
+        raise ValueError(
+            "start beyond stopping boundary "
+            f"(r0 = {float(arr.max())!r} > radius = {kernel.params.radius!r})"
+        )
     log_at_boundary = eval_log_u(kernel, kernel.params.radius)
     cost = 2.0 * kernel.params.sigma**2 * (log_at_boundary - eval_log_u(kernel, r0))
     return cost

@@ -17,12 +17,12 @@ in path-index order so Monte Carlo results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import write_csv
+from .params import exact_int
 from .rate import RateSeries, rate_coeff
 from .rng import normals
 
@@ -49,9 +49,8 @@ class SimConfig:
     y0: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_steps", operator.index(self.max_steps))
-        object.__setattr__(self, "n_paths", operator.index(self.n_paths))
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        for name in ("max_steps", "n_paths", "seed"):
+            object.__setattr__(self, name, exact_int(name, getattr(self, name)))
         object.__setattr__(self, "y0", np.array(self.y0, dtype=float, copy=True))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive finite real, got {self.dt}")

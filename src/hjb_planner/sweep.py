@@ -11,10 +11,8 @@ order.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from .oracles import (
     picard_step_bound,
     verify_exact_4d,
 )
-from .params import ModelParams
+from .params import ModelParams, exact_int
 from .rate import build_rate, rate_coeff
 from .series import build_kernel, eval_u
 from .simulate import (
@@ -56,10 +54,7 @@ PICARD_BOUND_SLACK = 1e-9  # relative quadrature slack on the factorial envelope
 
 def _goods_count(n) -> int:
     """A sweep's N as an exact integer >= 1; 2.5 is refused, not truncated."""
-    try:
-        count = operator.index(n)
-    except TypeError:
-        raise ValueError(f"sweep N must be an integer, got {n!r}") from None
+    count = exact_int("sweep N", n)
     if count < 1:
         raise ValueError(f"sweep N must be >= 1, got {n!r}")
     return count
@@ -132,23 +127,12 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
     return table
 
 
-def _corrupt(kernel):
-    """Test hook: inflate the leading coefficient so the rate envelope
-    bound must fail."""
-    log_a = kernel.log_a.copy()
-    log_a[1] += math.log(100.0)
-    return dataclasses.replace(
-        kernel, log_a=log_a, _a=np.exp(log_a), _b=np.exp(log_a) * np.arange(log_a.size)
-    )
-
-
 def run_verify(
     output_dir,
     n_list=VERIFY_N,
     sigma_list=VERIFY_SIGMA,
     radius_list=VERIFY_RADIUS,
     grid_points: int = VERIFY_GRID_POINTS,
-    inject_fault: bool = False,
     echo=print,
 ) -> int:
     """Run the oracle gate; returns 0 iff every check passes.
@@ -171,8 +155,6 @@ def run_verify(
         params = ModelParams(n_goods=n, sigma=s, radius=radius)
         grid = np.linspace(0.0, radius, grid_points)
         kernel = build_kernel(params, r_max=radius)
-        if inject_fault and not eq_rows:
-            kernel = _corrupt(kernel)
         series_vals = np.atleast_1d(eval_u(kernel, grid))
         picard = picard_solve(params, grid)
         ode = ode_solve(params, radius, grid=grid)

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from hjb_planner import ModelParams, build_kernel, build_rate
@@ -33,3 +37,18 @@ def wide_kernel(wide_params):
 @pytest.fixture(scope="session")
 def wide_rate(wide_kernel):
     return build_rate(wide_kernel)
+
+
+@pytest.fixture(scope="session")
+def corrupt():
+    """A kernel with its leading coefficient inflated 100-fold, so the rate
+    envelope bound must fail."""
+
+    def corrupt_kernel(kernel):
+        log_a = kernel.log_a.copy()
+        log_a[1] += math.log(100.0)
+        return dataclasses.replace(
+            kernel, log_a=log_a, _a=np.exp(log_a), _b=np.exp(log_a) * np.arange(log_a.size)
+        )
+
+    return corrupt_kernel

@@ -264,19 +264,18 @@ class TestRateCoeff:
 
 class TestFeedback:
     def test_zero_state(self, std_rate):
-        control = feedback(std_rate, np.zeros(2))
-        assert np.array_equal(control.p, np.zeros(2))
+        assert np.array_equal(feedback(std_rate, np.zeros(2)), np.zeros(2))
 
     def test_pinned_example(self, std_rate):
         control = feedback(std_rate, [0.6, 0.8])  # |y| = 1
         expected = rate_coeff(std_rate, 1.0) * np.asarray([0.6, 0.8])
-        assert np.array_equal(control.p, expected)
+        assert np.array_equal(control, expected)
 
     def test_rate_identical_across_goods(self, std_rate):
         y = np.asarray([0.3, -0.4])
-        ratios = feedback(std_rate, y).p / y
+        ratios = feedback(std_rate, y) / y
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-15)
-        doubled = feedback(std_rate, 2 * y).p / (2 * y)
+        doubled = feedback(std_rate, 2 * y) / (2 * y)
         assert doubled[0] == pytest.approx(doubled[1], rel=1e-15)
 
     @given(
@@ -292,8 +291,8 @@ class TestFeedback:
         control = feedback(std_rate, y)
         r = float(np.linalg.norm(y))
         expected = np.zeros(2) if r == 0.0 else rate_coeff(std_rate, r) * y
-        assert np.array_equal(control.p, expected)
-        assert float(control.p @ y) >= 0.0  # control never points inward
+        assert np.array_equal(control, expected)
+        assert float(control @ y) >= 0.0  # control never points inward
 
     def test_invalid_states(self, std_rate):
         with pytest.raises(ValueError, match="invalid inventory state"):

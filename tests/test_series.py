@@ -54,11 +54,17 @@ class TestModelParams:
             dict(n_goods=2, sigma=-1.0, radius=1.0),
             dict(n_goods=2, sigma=1.0, radius=0.0),
             dict(n_goods=2, sigma=math.inf, radius=1.0),
+            dict(n_goods=2.5, sigma=1.0, radius=1.0),
+            dict(n_goods=np.float64(2.0), sigma=1.0, radius=1.0),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_non_integer_goods_count_named(self):
+        with pytest.raises(ValueError, match=r"n_goods must be an integer, got 2\.5"):
+            ModelParams(2.5, 1.0, 1.0)
 
 
 class TestBuildKernel:
@@ -86,9 +92,7 @@ class TestBuildKernel:
     @pytest.mark.parametrize("n,sigma", [(1, 1.0), (2, 0.5), (10, 2.0)])
     def test_small_order_when_x_at_most_one(self, n, sigma):
         # x(r_max) = 1 decays factorially from the first term
-        k = build_kernel(
-            ModelParams(n, sigma, radius=1e-3), term_tol=1e-16, r_max=math.sqrt(2) * sigma
-        )
+        k = build_kernel(ModelParams(n, sigma, radius=1e-3), r_max=math.sqrt(2) * sigma)
         assert k.truncation_order <= 10
 
     def test_truncation_overflow_refused(self):
@@ -96,8 +100,6 @@ class TestBuildKernel:
             build_kernel(ModelParams(2, 0.05, 1.0), r_max=10.0)
 
     def test_rejects_bad_tol_and_range(self, std_params):
-        with pytest.raises(ValueError):
-            build_kernel(std_params, term_tol=1.5)
         with pytest.raises(ValueError):
             build_kernel(std_params, r_max=0.5)  # below radius
 

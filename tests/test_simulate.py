@@ -26,11 +26,17 @@ class TestSimConfig:
             dict(dt=1e-3, max_steps=10, n_paths=2, seed=2**64, y0=[0.0, 0.0]),
             dict(dt=1e-3, max_steps=10, n_paths=2, seed=1, y0=[[0.0], [0.0]]),
             dict(dt=1e-3, max_steps=10, n_paths=2, seed=1, y0=[0.0, np.nan]),
+            dict(dt=1e-3, max_steps=10.5, n_paths=2, seed=1, y0=[0.0, 0.0]),
+            dict(dt=1e-3, max_steps=10, n_paths=2.0, seed=1, y0=[0.0, 0.0]),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_non_integer_count_named(self):
+        with pytest.raises(ValueError, match=r"max_steps must be an integer, got 10\.5"):
+            SimConfig(dt=1e-3, max_steps=10.5, n_paths=2, seed=1, y0=[0.0, 0.0])
 
     def test_dimension_mismatch_detected(self, std_rate):
         cfg = cfg_origin(dim=3)

@@ -114,7 +114,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", [["--n", "0"], ["--sigma=-1,nan,0"]])
     def test_cli_bad_axis_writes_nothing(self, tmp_path, axis):
-        with pytest.raises(ValueError, match="sweep"):
+        with pytest.raises(SystemExit, match="sweep (N|sigma) .*must"):
             main(["sweep", *axis, "--r-grid", "0:1:5", "--out", str(tmp_path)])
         assert not any(tmp_path.iterdir())
 
@@ -135,15 +135,15 @@ class TestRunVerify:
             "verify_picard_bound.csv",
         ):
             assert (tmp_path / name).exists()
+        bounds = (tmp_path / "verify_bounds.csv").read_text().splitlines()
+        assert bounds[0] == "N,sigma,radius,r,bound_name,margin"
+        assert len(bounds) == 1 + 4 * 120
 
-    def test_fault_injection_names_bound_violation(self, tmp_path, capsys):
+    def test_fault_injection_names_bound_violation(self, tmp_path, capsys, monkeypatch, corrupt):
+        build_kernel = sweep.build_kernel
+        monkeypatch.setattr(sweep, "build_kernel", lambda *a, **k: corrupt(build_kernel(*a, **k)))
         status = run_verify(
-            tmp_path,
-            n_list=(2,),
-            sigma_list=(1.0,),
-            radius_list=(1.0,),
-            grid_points=120,
-            inject_fault=True,
+            tmp_path, n_list=(2,), sigma_list=(1.0,), radius_list=(1.0,), grid_points=120
         )
         assert status != 0
         assert "bound violation" in capsys.readouterr().out
@@ -254,6 +254,22 @@ class TestCli:
     def test_empty_r_grid_rejected(self, tmp_path, verb):
         with pytest.raises(SystemExit, match="bad --r-grid '0:1:0'"):
             main([verb, "--r-grid", "0:1:0", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["rate", "--n", "0", "--r", "1"], "hjb-planner rate: n_goods must be >= 1, got 0"),
+            (["rate", "--n", "2", "--sigma", "-1", "--r", "1"], "hjb-planner rate: sigma .*-1"),
+            (["cost", "--n", "2", "--radius", "1", "--r0", "2"], r"hjb-planner cost: .*r0 = 2\.0"),
+            (["sweep", "--n", "x"], "hjb-planner sweep: .*'x'"),
+        ],
+    )
+    def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=reason):
+            main([*argv, "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_rate_requires_radius_argument(self):
         with pytest.raises(SystemExit):
