@@ -31,6 +31,14 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> Path:
     return path
 
 
+def csv_text(text: str) -> str:
+    """A free-text CSV cell (such as an error message), quoted as RFC 4180
+    asks when it holds a comma, quote or newline."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write rows as CSV with a fixed column order and 17-digit floats."""
     lines = [",".join(header)]

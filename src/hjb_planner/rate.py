@@ -28,7 +28,7 @@ import numpy as np
 
 from .fileio import write_csv
 from .params import ModelParams
-from .series import HORNER_X_MAX, SeriesKernel, _evaluate
+from .series import HORNER_X_MAX, SeriesKernel, _evaluate, _split_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +67,9 @@ def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
     for x = s^4/4 <= x_switch, bit for bit
     ``s**2 * npoly.polyval(x, b[1:]) / npoly.polyval(x, c)``, and
     (4/s^2) sum_j j w_j / sum_j w_j beyond.  Nondecreasing in r and bounded
-    by 1 on the certified range.  The Euler loop calls this on every step:
-    validation is one min/max pair and the log-space branch runs only when
-    x at the largest r exceeds x_switch.
+    by 1 on the certified range.  Validation is one min/max pair, then the
+    same core as _rho_unchecked; the log-space branch runs only when x at
+    the largest r exceeds x_switch.
 
     Raises:
         ValueError: "evaluation outside certified range" for r outside
@@ -78,6 +78,13 @@ def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
     return _evaluate(
         rate.c, rate.b, rate.log_a, rate.params.sigma, rate.r_max, r, _rho_near, _rho_far
     )
+
+
+def _rho_unchecked(rate: RateSeries, r: np.ndarray) -> np.ndarray:
+    """rate_coeff's core without its range check, bit for bit: r must be a
+    non-empty 1-d float array already known to lie in [0, r_max].  The
+    Euler loop calls this on every step after checking r_max >= R once."""
+    return _split_sums(rate.c, rate.b, rate.log_a, rate.params.sigma, r, _rho_near, _rho_far)
 
 
 def _rho_near(r, s, t, b):

@@ -184,18 +184,13 @@ def _log_sums(log_a: np.ndarray, log_x: np.ndarray):
 
 
 def _evaluate(a, b, log_a, sigma: float, r_max: float, r, near, far):
-    """One kernel quantity at radii r, from the split sums.
-
-    near(r, s, t, B) is called on the points with x = s^4/4 <= HORNER_X_MAX
-    (t = A - 1 and B from _horner), far(r, s, m, S0, S1) on the rest
-    (_log_sums); s = r/sigma.  Both may overwrite every argument but r,
-    which can be the caller's own array.  Validation is one min/max pair,
-    and the log-space branch runs only when the largest x exceeds the
-    split.  Returns a float for scalar r.
+    """One kernel quantity at radii r: the boundary checks (one min/max
+    pair), then the unchecked core _split_sums.  Returns a float for
+    scalar r.
 
     Raises:
-        ValueError: "evaluation outside certified range" for r outside
-            [0, r_max] (or non-finite r).
+        ValueError: "evaluation outside certified range", naming the
+            offending extreme, for r outside [0, r_max] (or non-finite r).
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
@@ -204,25 +199,39 @@ def _evaluate(a, b, log_a, sigma: float, r_max: float, r, near, far):
         return np.zeros(arr.shape)
     lo, hi = float(arr.min()), float(arr.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("evaluation outside certified range (non-finite r)")
+        bad = hi if math.isfinite(lo) else lo
+        raise ValueError(f"evaluation outside certified range (non-finite r = {bad!r})")
     if lo < 0.0 or hi > r_max:
-        raise ValueError(f"evaluation outside certified range [0, {r_max}]")
+        bad = lo if lo < 0.0 else hi
+        raise ValueError(f"evaluation outside certified range [0, {r_max}]: r = {bad!r}")
+    out = _split_sums(a, b, log_a, sigma, arr, near, far)
+    return float(out[0]) if scalar else out
 
-    s = arr / sigma
+
+def _split_sums(a, b, log_a, sigma: float, r: np.ndarray, near, far) -> np.ndarray:
+    """The unchecked core: one kernel quantity at a non-empty 1-d array of
+    radii already known to lie in [0, r_max].
+
+    near(r, s, t, B) is called on the points with x = s^4/4 <= HORNER_X_MAX
+    (t = A - 1 and B from _horner), far(r, s, m, S0, S1) on the rest
+    (_log_sums); s = r/sigma.  Both may overwrite every argument but r,
+    which can be the caller's own array.  The log-space branch runs only
+    when the largest x exceeds the split.
+    """
+    s = r / sigma
     x = np.power(s, 4.0)
     x /= 4.0
     if x.max() <= HORNER_X_MAX:
-        out = near(arr, s, *_horner(a, b, x))
-    else:
-        out = np.empty(arr.shape)
-        inside = x <= HORNER_X_MAX
-        if np.any(inside):
-            out[inside] = near(arr[inside], s[inside], *_horner(a, b, x[inside]))
-        beyond = ~inside
-        s_far = s[beyond]
-        log_x = 4.0 * np.log(s_far) - _LN4
-        out[beyond] = far(arr[beyond], s_far, *_log_sums(log_a, log_x))
-    return float(out[0]) if scalar else out
+        return near(r, s, *_horner(a, b, x))
+    out = np.empty(r.shape)
+    inside = x <= HORNER_X_MAX
+    if inside.any():
+        out[inside] = near(r[inside], s[inside], *_horner(a, b, x[inside]))
+    beyond = ~inside
+    s_far = s[beyond]
+    log_x = 4.0 * np.log(s_far) - _LN4
+    out[beyond] = far(r[beyond], s_far, *_log_sums(log_a, log_x))
+    return out
 
 
 def _kernel_eval(kernel: SeriesKernel, r, near, far):

@@ -12,6 +12,12 @@ Ito-consistent choice.  Noise comes from the counter-based generator, so a
 path is a pure function of (seed, path_index) no matter how paths are
 batched or scheduled, or how many steps one draw covers; means are reduced
 in path-index order so Monte Carlo results are reproducible bit for bit.
+
+One pass serves both the cost statistics and the plot: the paths asked for
+are traced while the batch that holds them runs, so no path is simulated
+twice.  The rate's certified range is checked once per batch (r_max >= R);
+after that the loop keeps 0 <= |y| < R, and rho is evaluated on every step
+without a range check.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import numpy as np
 
 from .fileio import write_csv
 from .params import exact_int
-from .rate import RateSeries, rate_coeff
+from .rate import RateSeries, _rho_unchecked
+from .rate import rate_coeff  # unused here; perfbench/layers.py wraps it by name
 from .rng import normals
 
 _CHUNK = 65536
@@ -90,9 +97,16 @@ def _run_paths(
     """Vectorized Euler-Maruyama over a batch of paths.
 
     Returns (tau, cost, exited, y_final, traces) with arrays aligned to
-    path_indices; traces maps path index -> list of (t, y..., cost) rows.
-    Per-path arithmetic is elementwise, so results do not depend on how the
-    batch is chunked.
+    path_indices; traces maps each index of trace_paths in the batch to an
+    array of rows (t, y..., cost), sampled every trace_stride steps and at
+    the exit or the horizon.  Per-path arithmetic is elementwise, so results
+    do not depend on how the batch is chunked.
+
+    Raises:
+        ValueError: if y0 does not have N components, or the rate's
+            certified range [0, r_max] stops short of the stopping radius;
+            both are checked once, before the first step.
+        RuntimeError: "simulation diverged" on a non-finite state.
     """
     params = rate.params
     n = params.n_goods
@@ -101,6 +115,10 @@ def _run_paths(
             f"y0 has {cfg.y0.shape[0]} components but the rate was built for {n} goods"
         )
     radius = params.radius
+    if not rate.r_max >= radius:
+        raise ValueError(
+            f"rate certified on [0, {rate.r_max}] stops short of the stopping radius {radius}"
+        )
     dt = cfg.dt
     noise_scale = params.sigma * math.sqrt(dt)
 
@@ -114,18 +132,24 @@ def _run_paths(
     y = np.tile(cfg.y0, (m, 1))
     cost = np.zeros(m)
     pos = np.arange(m)  # result slots of still-running paths
+    # traced_alive flags the traced running paths; None once none runs
+    traced_alive = None
+    traces: dict[int, list] = {}
     if trace_paths:
-        is_traced = np.array([int(p) in trace_paths for p in paths], dtype=bool)
-        traces: dict[int, list] = {int(p): [] for p in paths if int(p) in trace_paths}
-    else:
-        is_traced = np.zeros(m, dtype=bool)
-        traces = {}
+        wanted = np.fromiter(trace_paths, dtype=np.uint64, count=len(trace_paths))
+        traced_alive = np.isin(paths, wanted)
+        traces = {pid: [] for pid in paths[traced_alive].tolist()}
+        if not traces:
+            traced_alive = None
 
-    def record(slot_mask, step):
-        for row, slot in zip(np.flatnonzero(slot_mask), pos[slot_mask]):
-            traces[int(paths[slot])].append(
-                (step * dt, *y[row].tolist(), float(cost[row]))
-            )
+    def record(rows, step):
+        rows = np.flatnonzero(rows)
+        sampled = np.empty((rows.size, n + 2))
+        sampled[:, 0] = step * dt
+        sampled[:, 1:-1] = y[rows]
+        sampled[:, -1] = cost[rows]
+        for pid, row in zip(paths[pos[rows]].tolist(), sampled):
+            traces[pid].append(row)
 
     # noise comes in blocks of consecutive steps; z_rows maps each running
     # path to its row of the current block
@@ -134,12 +158,11 @@ def _run_paths(
     for step in range(cfg.max_steps):
         r = np.sqrt(np.einsum("ij,ij->i", y, y))
         hit = r >= radius
-        traced_alive = is_traced[pos]
-        if np.any(traced_alive):
-            sample_now = traced_alive & (hit | (step % trace_stride == 0))
-            if np.any(sample_now):
+        if traced_alive is not None:
+            sample_now = traced_alive if step % trace_stride == 0 else traced_alive & hit
+            if sample_now.any():
                 record(sample_now, step)
-        if np.any(hit):
+        if hit.any():
             slots = pos[hit]
             exited[slots] = True
             tau[slots] = step * dt
@@ -147,11 +170,15 @@ def _run_paths(
             y_final[slots] = y[hit]
             keep = ~hit
             pos, y, cost, r = pos[keep], y[keep], cost[keep], r[keep]
+            if traced_alive is not None:
+                traced_alive = traced_alive[keep]
+                if not traced_alive.any():
+                    traced_alive = None
             if pos.size == 0:
                 break
             if step < block_stop:
                 z_rows = z_rows[keep]
-        rho = rate_coeff(rate, r)
+        rho = _rho_unchecked(rate, r)
         cost += (rho * rho + 1.0) * r * r * dt
         if step == block_stop:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
@@ -161,15 +188,15 @@ def _run_paths(
         z = block[z_rows, step - block_start]  # a copy, so scaled in place
         z *= noise_scale
         y += rho[:, None] * y * dt + z
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise RuntimeError("simulation diverged (non-finite inventory state)")
     else:
-        if pos.size:
-            cost_total[pos] = cost
-            y_final[pos] = y
-            if np.any(is_traced[pos]):
-                record(is_traced[pos], cfg.max_steps)
+        cost_total[pos] = cost
+        y_final[pos] = y
+        if traced_alive is not None:
+            record(traced_alive, cfg.max_steps)
 
+    traces = {pid: np.array(rows) for pid, rows in traces.items()}
     return tau, cost_total, exited, y_final, traces
 
 
@@ -191,29 +218,37 @@ def euler_path(
         trace_paths=trace_set,
         trace_stride=max(1, int(trace_stride)),
     )
-    trace_arr = None
-    if record_trace:
-        trace_arr = np.asarray(traces[int(path_index)], dtype=float)
     return PathResult(
         tau=float(tau[0]),
         cost=float(cost[0]),
         exited=bool(exited[0]),
         y_final=y_final[0],
-        path_trace=trace_arr,
+        path_trace=traces.get(int(path_index)),
     )
 
 
-def collect_costs(rate: RateSeries, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated cost and exit flag for paths 0..n_paths-1, in index order."""
+def collect_costs(
+    rate: RateSeries,
+    cfg: SimConfig,
+    trace_paths: frozenset = frozenset(),
+    trace_stride: int = 1,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Accumulated cost and exit flag for paths 0..n_paths-1, in index order,
+    and the traces of the paths in trace_paths (as _run_paths returns them),
+    recorded in the same pass."""
     costs = np.empty(cfg.n_paths)
     exited = np.empty(cfg.n_paths, dtype=bool)
+    traces: dict = {}
     for start in range(0, cfg.n_paths, _CHUNK):
         stop = min(start + _CHUNK, cfg.n_paths)
         idx = np.arange(start, stop, dtype=np.uint64)
-        _, chunk_cost, chunk_exited, _, _ = _run_paths(rate, cfg, idx)
+        _, chunk_cost, chunk_exited, _, chunk_traces = _run_paths(
+            rate, cfg, idx, trace_paths, trace_stride
+        )
         costs[start:stop] = chunk_cost
         exited[start:stop] = chunk_exited
-    return costs, exited
+        traces.update(chunk_traces)
+    return costs, exited, traces
 
 
 def cost_statistics(costs: np.ndarray, exited: np.ndarray) -> tuple[float, float, int]:
@@ -241,7 +276,8 @@ def monte_carlo_cost(rate: RateSeries, cfg: SimConfig) -> tuple[float, float, in
     """
     if cfg.n_paths < 2:
         raise ValueError("n_paths must be >= 2 for a standard error")
-    mean, stderr, n_exited = cost_statistics(*collect_costs(rate, cfg))
+    costs, exited, _ = collect_costs(rate, cfg)
+    mean, stderr, n_exited = cost_statistics(costs, exited)
     if n_exited == 0:
         raise RuntimeError("no exits within horizon")
     return mean, stderr, n_exited

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, write_csv
+from .fileio import atomic_write_text, csv_text, write_csv
 from .oracles import (
     BoundViolation,
     check_bounds,
@@ -33,7 +33,7 @@ from .rate import build_rate, rate_coeff
 from .series import build_kernel, eval_u
 from .simulate import (
     SimConfig,
-    _run_paths,
+    _run_paths,  # unused here; perfbench/layers.py wraps sweep._run_paths by name
     collect_costs,
     cost_statistics,
     write_mc_summary,
@@ -140,14 +140,24 @@ def run_verify(
     Checks, with one echoed line each: (1) triangular equivalence of the
     series kernel, the integral-form iteration, and direct ODE integration;
     (2) the bound suite margins; (3) closed-form 4-D fixtures; (4) the
-    factorial envelope on the iteration's successive differences.  Reports
-    are written as CSV into output_dir regardless of outcome.
+    factorial envelope on the iteration's successive differences.  A cell
+    whose Picard or ODE oracle raises RuntimeError has no equivalence row;
+    it fails check (1) with one echoed line naming N, sigma, R and the
+    reason, and gets a row in verify_failed_cells.csv (header only when
+    every cell ran).  Reports are written as CSV into output_dir regardless
+    of outcome.
+
+    Raises:
+        ValueError: if an axis is empty, so no cell would be checked.
     """
+    if not (n_list and sigma_list and radius_list):
+        raise ValueError("verify axes must be non-empty")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
 
     eq_rows = []
+    failed_cells = []
     bound_rows = []
     bound_failures: list[str] = []
     min_margin = math.inf
@@ -156,14 +166,18 @@ def run_verify(
         grid = np.linspace(0.0, radius, grid_points)
         kernel = build_kernel(params, r_max=radius)
         series_vals = np.atleast_1d(eval_u(kernel, grid))
-        picard = picard_solve(params, grid)
-        ode = ode_solve(params, radius, grid=grid)
-        diffs = (
-            max_rel_diff(series_vals, picard.values),
-            max_rel_diff(series_vals, ode.values),
-            max_rel_diff(picard.values, ode.values),
-        )
-        eq_rows.append((n, s, radius, *diffs))
+        try:
+            picard = picard_solve(params, grid)
+            ode = ode_solve(params, radius, grid=grid)
+        except RuntimeError as exc:
+            failed_cells.append((n, s, radius, str(exc)))
+        else:
+            diffs = (
+                max_rel_diff(series_vals, picard.values),
+                max_rel_diff(series_vals, ode.values),
+                max_rel_diff(picard.values, ode.values),
+            )
+            eq_rows.append((n, s, radius, *diffs))
         try:
             report = check_bounds(kernel, grid)
         except BoundViolation as exc:
@@ -172,17 +186,27 @@ def run_verify(
         bound_rows.extend((n, s, radius, *row) for row in report.rows)
         min_margin = min(min_margin, report.min_margin)
 
-    worst_eq = max(max(row[3:6]) for row in eq_rows)
     write_csv(
         out / "verify_equivalence.csv",
         ["N", "sigma", "radius", "series_vs_picard", "series_vs_ode", "picard_vs_ode"],
         eq_rows,
     )
-    if worst_eq <= EQUIVALENCE_TOL:
-        echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
-    else:
+    write_csv(
+        out / "verify_failed_cells.csv",
+        ["N", "sigma", "radius", "reason"],
+        [(*cell, csv_text(reason)) for *cell, reason in failed_cells],
+    )
+    for n, s, radius, reason in failed_cells:
+        cell = f"N={n} sigma={s!r} R={radius!r}"
+        failures.append(f"equivalence cell {cell}")
+        echo(f"equivalence: FAIL (cell {cell}: {reason})")
+    # no equivalence rows only when every cell failed, reported above
+    worst_eq = max((max(row[3:6]) for row in eq_rows), default=0.0)
+    if not worst_eq <= EQUIVALENCE_TOL:
         failures.append(f"equivalence (worst rel diff {worst_eq:.3e} > {EQUIVALENCE_TOL})")
         echo(f"equivalence: FAIL (worst pairwise rel diff {worst_eq:.3e})")
+    elif not failed_cells:
+        echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
 
     write_csv(
         out / "verify_bounds.csv",
@@ -246,37 +270,31 @@ def run_simulate(
 
     Horizon truncation is informational here, not an error: with no exited
     paths the summary simply records n_exited=0 and nan statistics.  The
-    first min(n_trace_paths, n_paths) paths are re-simulated with trace
-    recording for the plot; the counter-based noise guarantees they match
-    the paths that entered the Monte Carlo mean.
+    first min(n_trace_paths, n_paths) paths are traced for the plot in the
+    same pass that computes the Monte Carlo mean, so the plotted paths are
+    the ones that entered it; the rate's range is checked once per batch.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = ModelParams(n_goods=n_goods, sigma=sigma, radius=radius)
     rate = build_rate(build_kernel(params, r_max=radius))
 
-    mean, stderr, n_exited = cost_statistics(*collect_costs(rate, cfg))
-    summary_path = out / "mc_summary.csv"
-    write_mc_summary(summary_path, mean, stderr, n_exited, cfg)
-
     n_traced = min(n_trace_paths, cfg.n_paths)
     # sample ~2000 points over a few noise-driven exit times (R^2/(N sigma^2)),
     # capped by the horizon; deterministic in (params, cfg) so reruns match
     typical_steps = int(3.0 * radius**2 / (n_goods * sigma**2) / cfg.dt) + 1
     stride = max(1, min(cfg.max_steps, typical_steps) // 2000)
-    traced_ids = frozenset(range(n_traced))
-    *_, traces = _run_paths(
-        rate,
-        cfg,
-        np.arange(n_traced, dtype=np.uint64),
-        trace_paths=traced_ids,
-        trace_stride=stride,
+    costs, exited, traces = collect_costs(
+        rate, cfg, trace_paths=frozenset(range(n_traced)), trace_stride=stride
     )
+    mean, stderr, n_exited = cost_statistics(costs, exited)
+    summary_path = out / "mc_summary.csv"
+    write_mc_summary(summary_path, mean, stderr, n_exited, cfg)
 
     curves = []
     trace_files = []
     for pid in range(n_traced):
-        arr = np.asarray(traces[pid], dtype=float)
+        arr = traces[pid]
         t = arr[:, 0]
         norms = np.sqrt(np.sum(arr[:, 1 : 1 + n_goods] ** 2, axis=1))
         curves.append((t, norms))

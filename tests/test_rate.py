@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,7 @@ class TestRateCoeff:
             with pytest.raises(ValueError, match="outside certified range") as info:
                 rate_coeff(std_rate, r)
             assert info.match(message)
+            assert info.match("r = " + re.escape(repr(float(bad))))
 
 
 class TestFeedback:

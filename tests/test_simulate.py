@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from hjb_planner import ModelParams, build_kernel, build_rate, expected_optimal_cost
+from hjb_planner import ModelParams, build_kernel, build_rate, expected_optimal_cost, rate_coeff
 from hjb_planner import simulate as simulate_module
+from hjb_planner.rate import _rho_unchecked
 from hjb_planner.rng import normals
-from hjb_planner.simulate import SimConfig, _run_paths, euler_path, monte_carlo_cost
+from hjb_planner.simulate import (
+    SimConfig,
+    _run_paths,
+    collect_costs,
+    euler_path,
+    monte_carlo_cost,
+)
 
 
 def cfg_origin(n_paths=200, dt=1e-3, seed=42, max_steps=100_000, dim=2):
@@ -167,7 +174,80 @@ class TestBatchEngine:
         assert {k for _, k in draws} == {1}
         for a, b in zip(blocked[:4], single[:4]):
             assert np.array_equal(a, b)
-        assert blocked[4] == single[4]
+        assert blocked[4].keys() == single[4].keys() == traced
+        for pid in traced:
+            assert np.array_equal(blocked[4][pid], single[4][pid])
+
+
+class TestOnePass:
+    """collect_costs traces the plot paths inside the cost pass; each trace
+    must be the path's own, bit for bit, and tracing must move nothing."""
+
+    @pytest.mark.parametrize(
+        "dim,y0,max_steps,n_paths,stride,chunk",
+        [
+            (2, [0.0, 0.0], 100_000, 40, 3, 65536),
+            (5, [0.3, 0.1, -0.2, 0.0, 0.1], 100_000, 30, 7, 65536),
+            (2, [0.0, 0.0], 37, 12, 5, 5),  # horizon cuts paths; traces span chunks
+            (2, [1.0, 0.0], 10, 4, 1, 65536),  # every path starts on the boundary
+        ],
+    )
+    def test_traces_match_single_paths(
+        self, monkeypatch, dim, y0, max_steps, n_paths, stride, chunk
+    ):
+        monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+        rate = build_rate(build_kernel(ModelParams(dim, 1.0, 1.0), r_max=1.0))
+        cfg = SimConfig(dt=1e-3, max_steps=max_steps, n_paths=n_paths, seed=8, y0=y0)
+        traced = frozenset({0, 3, n_paths - 1})
+        costs, exited, traces = collect_costs(rate, cfg, traced, stride)
+        assert traces.keys() == traced
+        for pid in traced:
+            single = euler_path(rate, cfg, pid, record_trace=True, trace_stride=stride)
+            assert traces[pid].dtype == np.float64
+            assert np.array_equal(traces[pid], single.path_trace)
+            assert single.cost == costs[pid] and single.exited == exited[pid]
+        plain_costs, plain_exited, plain_traces = collect_costs(rate, cfg)
+        assert np.array_equal(costs, plain_costs)
+        assert np.array_equal(exited, plain_exited)
+        assert plain_traces == {}
+        if max_steps == 37:
+            assert not exited.all()
+        if y0[0] == 1.0:
+            assert exited.all() and not costs.any()
+            assert all(trace.shape == (1, dim + 2) for trace in traces.values())
+
+    def test_range_checked_before_any_step(self, std_rate, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the range check")
+
+        monkeypatch.setattr(simulate_module, "normals", no_draws)
+        short = dataclasses.replace(std_rate, r_max=0.5)
+        with pytest.raises(ValueError, match=r"\[0, 0\.5\].*stopping radius 1\.0"):
+            _run_paths(short, cfg_origin(n_paths=3), np.arange(3, dtype=np.uint64))
+
+    def test_unchecked_core_equals_rate_coeff(self):
+        # sigma = 0.5, R = 1: x = (r/sigma)^4/4 reaches 4, so calls take the
+        # Horner branch only, the log-space branch only, or both
+        rate = build_rate(build_kernel(ModelParams(3, 0.5, 1.0), r_max=1.0))
+        r = np.linspace(0.0, 1.0, 257)
+        near = (r / 0.5) ** 4 / 4.0 <= 1.0
+        for points in (r, r[near], r[~near], r[:1], r[-1:]):
+            assert np.array_equal(_rho_unchecked(rate, points), rate_coeff(rate, points))
+
+    def test_loop_rho_equals_rate_coeff(self, monkeypatch):
+        rate = build_rate(build_kernel(ModelParams(3, 0.5, 1.0), r_max=1.0))
+        branches = set()
+
+        def compared(rate_, r):
+            rho = _rho_unchecked(rate_, r)
+            assert np.array_equal(rho, rate_coeff(rate_, r))
+            branches.add(bool(np.any((r / 0.5) ** 4 / 4.0 > 1.0)))
+            return rho
+
+        monkeypatch.setattr(simulate_module, "_rho_unchecked", compared)
+        cfg = SimConfig(dt=1e-3, max_steps=100_000, n_paths=50, seed=4, y0=np.zeros(3))
+        collect_costs(rate, cfg)
+        assert branches == {False, True}
 
 
 class TestMonteCarlo:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -139,6 +140,13 @@ class TestRunVerify:
         assert bounds[0] == "N,sigma,radius,r,bound_name,margin"
         assert len(bounds) == 1 + 4 * 120
 
+    @pytest.mark.parametrize("axis", ["n_list", "sigma_list", "radius_list"])
+    def test_empty_axis_refused(self, tmp_path, axis):
+        # an empty cross would otherwise pass the equivalence check vacuously
+        with pytest.raises(ValueError, match="verify axes must be non-empty"):
+            run_verify(tmp_path / "out", **{axis: ()})
+        assert not (tmp_path / "out").exists()
+
     def test_fault_injection_names_bound_violation(self, tmp_path, capsys, monkeypatch, corrupt):
         build_kernel = sweep.build_kernel
         monkeypatch.setattr(sweep, "build_kernel", lambda *a, **k: corrupt(build_kernel(*a, **k)))
@@ -250,6 +258,43 @@ class TestCli:
         )
         assert code == 0
 
+    def test_verify_oracle_failure_is_one_line_per_cell(self, tmp_path, capsys):
+        # sigma = 0.1: Picard diverges; sigma = 0.15: Picard converges but
+        # the direct ODE would overflow u.  Neither may end in a traceback.
+        code = main(
+            ["verify", "--n", "2", "--sigma", "0.1,0.15", "--radius", "2",
+             "--grid-points", "50", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "Traceback" not in "\n".join(lines)
+        cells = [ln for ln in lines if "cell " in ln]
+        assert cells == [
+            "equivalence: FAIL (cell N=2 sigma=0.1 R=2.0: Picard not converged after 200 "
+            "iterations (achieved sup-difference 8.161e+111, tol 1.000e-10))",
+            "equivalence: FAIL (cell N=2 sigma=0.15 R=2.0: direct integration range "
+            "exceeded (u would overflow; use the logarithmic-derivative path))",
+        ]
+        assert lines[-1] == "verify: FAIL (2 failing check(s))"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "verify_bounds.csv",
+            "verify_equivalence.csv",
+            "verify_exact4d.csv",
+            "verify_failed_cells.csv",
+            "verify_picard_bound.csv",
+        ]
+        with open(tmp_path / "verify_failed_cells.csv", newline="") as fh:
+            failed = list(csv.reader(fh))
+        assert failed[0] == ["N", "sigma", "radius", "reason"]
+        assert [row[:3] for row in failed[1:]] == [
+            ["2", "0.10000000000000001", "2"],
+            ["2", "0.14999999999999999", "2"],
+        ]
+        assert failed[1][3].startswith("Picard not converged after 200 iterations")
+        assert failed[2][3].startswith("direct integration range exceeded")
+        equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
+        assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
+
     @pytest.mark.parametrize("verb", ["rate", "sweep"])
     def test_empty_r_grid_rejected(self, tmp_path, verb):
         with pytest.raises(SystemExit, match="bad --r-grid '0:1:0'"):
@@ -262,6 +307,7 @@ class TestCli:
             (["rate", "--n", "2", "--sigma", "-1", "--r", "1"], "hjb-planner rate: sigma .*-1"),
             (["cost", "--n", "2", "--radius", "1", "--r0", "2"], r"hjb-planner cost: .*r0 = 2\.0"),
             (["sweep", "--n", "x"], "hjb-planner sweep: .*'x'"),
+            (["cost", "--n", "2", "--radius", "1", "--r0", "-1"], r"hjb-planner cost: .*r = -1\.0"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
