@@ -14,7 +14,7 @@ import numpy as np
 
 from .fileio import fmt
 from .params import ModelParams
-from .rate import build_rate, rate_coeff, write_rate_table
+from .rate import build_rate, rate_table_text, write_rate_table
 from .series import build_kernel, expected_optimal_cost
 from .simulate import SimConfig
 from .sweep import SweepSpec, run_simulate, run_verify, sweep_rate
@@ -165,10 +165,7 @@ def _run(args) -> int:
         if get("out") is not None:
             write_rate_table(rate, grid, out_dir / "rate_table.csv")
         else:
-            values = np.atleast_1d(rate_coeff(rate, grid))
-            print("r,rate")
-            for r, v in zip(grid, values):
-                print(f"{fmt(float(r))},{fmt(float(v))}")
+            sys.stdout.write(rate_table_text(rate, grid))
         return 0
 
     if args.command == "sweep":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_csv
+from .fileio import atomic_write_text
 from .params import ModelParams
 from .series import HORNER_X_MAX, SeriesKernel, _evaluate, _split_sums
 
@@ -143,8 +143,14 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def rate_table_text(rate: RateSeries, r_grid) -> str:
+    """(r, rho(r)) as CSV text with header ``r,rate`` and 17-digit floats."""
+    grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    values = np.atleast_1d(rate_coeff(rate, grid))
+    body = "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(grid.tolist(), values.tolist()))
+    return "r,rate\n" + body
+
+
 def write_rate_table(rate: RateSeries, r_grid, path) -> None:
-    """Export (r, rho(r)) as CSV with header ``r,rate``."""
-    grid = np.asarray(r_grid, dtype=float)
-    values = rate_coeff(rate, grid)
-    write_csv(path, ["r", "rate"], zip(grid.tolist(), np.atleast_1d(values).tolist()))
+    """Export rate_table_text(rate, r_grid) to path."""
+    atomic_write_text(path, rate_table_text(rate, r_grid))

@@ -87,13 +87,35 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Rectangular sweep result; rows are (N, sigma, r, rate) with rate
-    left empty for cells whose series build was refused."""
+    """Rectangular sweep result, held by column: the radii shared by every
+    cell once, and one (N, sigma, rates) entry per cell in sweep order,
+    with rates None for a cell whose series build was refused."""
 
-    rows: tuple
+    radii: tuple
+    cells: tuple
+
+    @property
+    def rows(self) -> tuple:
+        """(N, sigma, r, rate) per grid point, rate "" in a refused cell."""
+        return tuple(
+            (n, s, r, v)
+            for n, s, rates in self.cells
+            for r, v in zip(self.radii, itertools.repeat("") if rates is None else rates)
+        )
 
     def write(self, path) -> Path:
-        return write_csv(path, ["N", "sigma", "r", "rate"], self.rows)
+        """rate_sweep.csv as write_csv would render rows: the radius column
+        and each cell's N,sigma prefix are formatted once, each rate once."""
+        radius_cells = [f"{r:.17g}," for r in self.radii]
+        parts = ["N,sigma,r,rate\n"]
+        for n, s, rates in self.cells:
+            prefix = f"{n},{s:.17g},"
+            if rates is None:
+                lines = [f"{prefix}{r}\n" for r in radius_cells]
+            else:
+                lines = [f"{prefix}{r}{v:.17g}\n" for r, v in zip(radius_cells, rates)]
+            parts.append("".join(lines))
+        return atomic_write_text(path, "".join(parts))
 
 
 def sweep_rate(spec: SweepSpec) -> SweepTable:
@@ -104,11 +126,10 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
     with an empty rate rather than aborting the sweep, and
     rate_sweep_skipped.txt gets one line per such cell naming N, sigma and
     the reason.  Any other exception propagates.  Writes rate_sweep.csv
-    into the requested output directory and returns the table.
+    into the requested output directory and returns the columnar table.
     """
     r_max = float(np.max(spec.r_grid))
-    radii = spec.r_grid.tolist()
-    rows: list = []
+    cells: list = []
     notes: list = []
     for n, s in itertools.product(spec.n_list, spec.sigma_list):
         params = ModelParams(n_goods=n, sigma=s, radius=r_max)
@@ -116,11 +137,11 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
             kernel = build_kernel(params, r_max=r_max)
         except ValueError as exc:
             notes.append(f"skipped cell N={n} sigma={s!r}: {exc}\n")
-            rows.extend((n, s, r, "") for r in radii)
+            cells.append((n, s, None))
             continue
         values = np.atleast_1d(rate_coeff(build_rate(kernel), spec.r_grid))
-        rows.extend((n, s, r, v) for r, v in zip(radii, values.tolist()))
-    table = SweepTable(rows=tuple(rows))
+        cells.append((n, s, tuple(values.tolist())))
+    table = SweepTable(radii=tuple(spec.r_grid.tolist()), cells=tuple(cells))
     table.write(spec.output_dir / "rate_sweep.csv")
     if notes:
         atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", "".join(notes))
@@ -140,12 +161,14 @@ def run_verify(
     Checks, with one echoed line each: (1) triangular equivalence of the
     series kernel, the integral-form iteration, and direct ODE integration;
     (2) the bound suite margins; (3) closed-form 4-D fixtures; (4) the
-    factorial envelope on the iteration's successive differences.  A cell
-    whose Picard or ODE oracle raises RuntimeError has no equivalence row;
-    it fails check (1) with one echoed line naming N, sigma, R and the
-    reason, and gets a row in verify_failed_cells.csv (header only when
-    every cell ran).  Reports are written as CSV into output_dir regardless
-    of outcome.
+    factorial envelope on the iteration's successive differences.  Each
+    cell runs the ODE oracle before the Picard one, because the ODE's
+    overflow refusal is an up-front check while a Picard solve can take
+    seconds.  A cell whose ODE or Picard oracle raises RuntimeError has no
+    equivalence row; it fails check (1) with one echoed line naming N,
+    sigma, R and the first oracle's reason, and gets a row in
+    verify_failed_cells.csv (header only when every cell ran).  Reports
+    are written as CSV into output_dir regardless of outcome.
 
     Raises:
         ValueError: if an axis is empty, so no cell would be checked.
@@ -167,8 +190,8 @@ def run_verify(
         kernel = build_kernel(params, r_max=radius)
         series_vals = np.atleast_1d(eval_u(kernel, grid))
         try:
-            picard = picard_solve(params, grid)
             ode = ode_solve(params, radius, grid=grid)
+            picard = picard_solve(params, grid)
         except RuntimeError as exc:
             failed_cells.append((n, s, radius, str(exc)))
         else:

@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import hjb_planner
-from hjb_planner import SweepSpec, run_simulate, run_verify, sweep, sweep_rate
+from hjb_planner import SweepSpec, oracles, run_simulate, run_verify, sweep, sweep_rate
 from hjb_planner.cli import main
+from hjb_planner.fileio import write_csv
+from hjb_planner.params import ModelParams
+from hjb_planner.rate import build_rate, rate_coeff
+from hjb_planner.series import HORNER_X_MAX, build_kernel
 from hjb_planner.simulate import SimConfig
 
 
@@ -83,6 +87,33 @@ class TestSweep:
         note = (tmp_path / "rate_sweep_skipped.txt").read_text().splitlines()
         assert len(note) == 1
         assert note[0].startswith("skipped cell N=2 sigma=0.02: series truncation overflow")
+
+    def test_columnar_write_equals_row_writer(self, tmp_path):
+        # a refused cell (sigma=0.02), r = 0, the subnormal 5e-324, and
+        # radii on both sides of the Horner/log-space split x = s^4/4 = 1
+        r_grid = np.array([0.0, 5e-324, 0.7, 1.41, 1.42, 3.0])
+        x = (r_grid / 1.0) ** 4 / 4.0
+        assert np.any((x > 0.0) & (x <= HORNER_X_MAX)) and np.any(x > HORNER_X_MAX)
+        spec = SweepSpec(
+            n_list=(2, 5), sigma_list=(0.02, 1.0), r_grid=r_grid, output_dir=tmp_path
+        )
+        table = sweep_rate(spec)
+
+        radii = r_grid.tolist()
+        rows = []
+        for n, s in [(2, 0.02), (2, 1.0), (5, 0.02), (5, 1.0)]:
+            if s == 0.02:
+                rows.extend((n, s, r, "") for r in radii)
+                continue
+            rate = build_rate(build_kernel(ModelParams(n, s, 3.0), r_max=3.0))
+            values = np.atleast_1d(rate_coeff(rate, r_grid)).tolist()
+            rows.extend((n, s, r, v) for r, v in zip(radii, values))
+        assert table.rows == tuple(rows)
+
+        write_csv(tmp_path / "rows.csv", ["N", "sigma", "r", "rate"], table.rows)
+        columnar = (tmp_path / "rate_sweep.csv").read_bytes()
+        assert columnar == (tmp_path / "rows.csv").read_bytes()
+        assert table.write(tmp_path / "again.csv").read_bytes() == columnar
 
     def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
         # only a refused build is a skipped cell; anything else is a bug
@@ -200,6 +231,14 @@ class TestCli:
         rho = float(out[1].split(",")[1])
         assert math.isfinite(rho) and rho >= 0.0
 
+    def test_rate_stdout_equals_table_file(self, tmp_path, capsys):
+        argv = ["rate", "--n", "2", "--sigma", "1", "--r-grid", "0:4:65"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert printed == (tmp_path / "rate_table.csv").read_text()
+        assert printed.startswith("r,rate\n0,0\n") and printed.count("\n") == 66
+
     def test_cost_boundary_is_zero(self, capsys):
         assert main(
             ["cost", "--n", "2", "--sigma", "1", "--radius", "1", "--r0", "0,1"]
@@ -258,11 +297,15 @@ class TestCli:
         )
         assert code == 0
 
-    def test_verify_oracle_failure_is_one_line_per_cell(self, tmp_path, capsys):
-        # sigma = 0.1: Picard diverges; sigma = 0.15: Picard converges but
-        # the direct ODE would overflow u.  Neither may end in a traceback.
+    def test_verify_oracle_failure_is_one_line_per_cell(self, tmp_path, capsys, monkeypatch):
+        # sigma = 0.1: the direct ODE would overflow u, refused before any
+        # Picard work; sigma = 0.5: the ODE runs but Picard, capped at 10
+        # iterations, needs 19.  The envelope check's cell (N=2, sigma=1,
+        # R=1) needs 5, so it still runs.  Neither cell may end in a
+        # traceback.
+        monkeypatch.setattr(oracles, "_PICARD_MAX_ITER", 10)
         code = main(
-            ["verify", "--n", "2", "--sigma", "0.1,0.15", "--radius", "2",
+            ["verify", "--n", "2", "--sigma", "0.1,0.5", "--radius", "2",
              "--grid-points", "50", "--out", str(tmp_path)]
         )
         assert code == 1
@@ -270,10 +313,10 @@ class TestCli:
         assert "Traceback" not in "\n".join(lines)
         cells = [ln for ln in lines if "cell " in ln]
         assert cells == [
-            "equivalence: FAIL (cell N=2 sigma=0.1 R=2.0: Picard not converged after 200 "
-            "iterations (achieved sup-difference 8.161e+111, tol 1.000e-10))",
-            "equivalence: FAIL (cell N=2 sigma=0.15 R=2.0: direct integration range "
+            "equivalence: FAIL (cell N=2 sigma=0.1 R=2.0: direct integration range "
             "exceeded (u would overflow; use the logarithmic-derivative path))",
+            "equivalence: FAIL (cell N=2 sigma=0.5 R=2.0: Picard not converged after 10 "
+            "iterations (achieved sup-difference 8.624e-02, tol 1.000e-10))",
         ]
         assert lines[-1] == "verify: FAIL (2 failing check(s))"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -288,10 +331,10 @@ class TestCli:
         assert failed[0] == ["N", "sigma", "radius", "reason"]
         assert [row[:3] for row in failed[1:]] == [
             ["2", "0.10000000000000001", "2"],
-            ["2", "0.14999999999999999", "2"],
+            ["2", "0.5", "2"],
         ]
-        assert failed[1][3].startswith("Picard not converged after 200 iterations")
-        assert failed[2][3].startswith("direct integration range exceeded")
+        assert failed[1][3].startswith("direct integration range exceeded")
+        assert failed[2][3].startswith("Picard not converged after 10 iterations")
         equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
         assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
 
