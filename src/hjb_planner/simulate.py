@@ -152,7 +152,7 @@ def _run_paths(
             traces[pid].append(row)
 
     # noise comes in blocks of consecutive steps; z_rows maps each running
-    # path to its row of the current block
+    # path to its row of the current block, None while they are all its rows
     pairs = (n + 1) // 2
     block_start = block_stop = 0
     for step in range(cfg.max_steps):
@@ -177,17 +177,27 @@ def _run_paths(
             if pos.size == 0:
                 break
             if step < block_stop:
-                z_rows = z_rows[keep]
+                z_rows = np.flatnonzero(keep) if z_rows is None else z_rows[keep]
         rho = _rho_unchecked(rate, r)
         cost += (rho * rho + 1.0) * r * r * dt
         if step == block_stop:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
             block = normals(cfg.seed, paths[pos], step, n, n_steps=k)
             block_start, block_stop = step, step + k
-            z_rows = np.arange(pos.size)
-        z = block[z_rows, step - block_start]  # a copy, so scaled in place
+            z_rows = None
+        # each (path, step) entry of a block is used once, so the step's
+        # noise is scaled in place: a view of the block until a path exits
+        # inside it, then a copy of the running paths' rows
+        if z_rows is None:
+            z = block[:, step - block_start]
+        else:
+            z = block[z_rows, step - block_start]
         z *= noise_scale
-        y += rho[:, None] * y * dt + z
+        # rounds as rho[:, None] * y * dt + z, in one temporary
+        drift = np.multiply(rho[:, None], y)
+        drift *= dt
+        drift += z
+        y += drift
         if not np.isfinite(y).all():
             raise RuntimeError("simulation diverged (non-finite inventory state)")
     else:

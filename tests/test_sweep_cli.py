@@ -338,6 +338,34 @@ class TestCli:
         equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
         assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
 
+    def test_verify_envelope_picard_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # the envelope's Picard solve (N=2, sigma=1, R=1) needs 5 iterations;
+        # capped at 4 it raises, and verify still reports every check
+        monkeypatch.setattr(oracles, "_PICARD_MAX_ITER", 4)
+        code = main(
+            ["verify", "--n", "2", "--sigma", "1", "--radius", "1",
+             "--grid-points", "50", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.out.splitlines()
+        envelope = [ln for ln in lines if ln.startswith("picard")]
+        assert len(envelope) == 1
+        assert envelope[0].startswith(
+            "picard bound: FAIL (Picard not converged after 4 iterations"
+        )
+        assert lines[-1].startswith("verify: FAIL (")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "verify_bounds.csv",
+            "verify_equivalence.csv",
+            "verify_exact4d.csv",
+            "verify_failed_cells.csv",
+            "verify_picard_bound.csv",
+        ]
+        picard_bound = (tmp_path / "verify_picard_bound.csv").read_text().splitlines()
+        assert picard_bound == ["k,measured_sup_diff,analytic_bound"]
+
     @pytest.mark.parametrize("verb", ["rate", "sweep"])
     def test_empty_r_grid_rejected(self, tmp_path, verb):
         with pytest.raises(SystemExit, match="bad --r-grid '0:1:0'"):
