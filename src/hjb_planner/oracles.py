@@ -218,7 +218,9 @@ def picard_solve(params: ModelParams, grid) -> RadialGridFn:
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be 1-D, strictly increasing, starting at 0")
     if grid[-1] > params.radius:
-        raise ValueError(f"grid must stay within [0, radius={params.radius}]")
+        raise ValueError(
+            f"grid must stay within [0, radius={params.radius}], got largest point {grid[-1]}"
+        )
 
     prev_u = prev_steps = prev_e = None
     best_gap = math.inf
@@ -284,8 +286,13 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
             "use the logarithmic-derivative path)"
         )
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
-        raise ValueError("grid must be strictly increasing from 0 within [0, r_max]")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
+        raise ValueError(
+            f"grid must be strictly increasing from 0 within [0, r_max={r_max}], "
+            f"got ends {grid[0]} and {grid[-1]}"
+        )
 
     # a_0..a_4 of u = sum_j a_j x^j; a_4 is the first term left out
     a = [1.0]

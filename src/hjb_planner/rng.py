@@ -6,9 +6,9 @@ and key of a Philox-4x32 block cipher (10 rounds, the constants of the
 Random123 reference implementation), and each 128-bit output block is
 turned into two doubles and then two normals by Box-Muller.  Paths can
 therefore be simulated in any order, in any batch shape, or re-run in
-isolation, and always see identical noise.  For the same reason a block of
-consecutive steps can be drawn in one call: its rows are bit for bit the
-draws of the single steps.
+isolation, and always see identical noise.  Every call draws a block of
+consecutive steps, shape (paths, steps, components); for the same reason
+its rows are bit for bit the draws of the single steps.
 
 Before round 1 each counter word varies along one axis of the block only
 (step, path or component pair), so round 1 runs on those broadcast words
@@ -96,17 +96,14 @@ def _words_to_float(hi, lo, out=None):
     return out
 
 
-def normals(
-    seed: int, path_index, step: int, n_components: int, n_steps: int | None = None
-) -> np.ndarray:
+def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -> np.ndarray:
     """Standard normals for steps step..step+n_steps-1 of each path.
 
-    Shape (len(path_index), n_steps, n_components); with n_steps None the
-    single step's (len(path_index), n_components), which equals the block
-    of one.  The counter words are (step, path low 32, pair, path high 32)
-    and the key words are the seed halves; pair enumerates component
-    pairs, which Box-Muller maps to components (2k, 2k+1).  Row k of a
-    block is therefore bit for bit the draw of step + k alone.
+    Shape (len(path_index), n_steps, n_components); a single step is the
+    block of one, [:, 0].  The counter words are (step, path low 32, pair,
+    path high 32) and the key words are the seed halves; pair enumerates
+    component pairs, which Box-Muller maps to components (2k, 2k+1).  Row
+    k of a block is therefore bit for bit the draw of step + k alone.
 
     Paths are drawn in groups of as many as fit in _PASS_BLOCKS Philox
     blocks, at least one.  In each group, Philox round 1 runs on the
@@ -117,10 +114,10 @@ def normals(
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    k_steps = 1 if n_steps is None else operator.index(n_steps)
-    if k_steps < 1:
+    n_steps = operator.index(n_steps)
+    if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if step < 0 or step + k_steps > 2**32:
+    if step < 0 or step + n_steps > 2**32:
         raise ValueError("steps must fit in 32 bits")
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
@@ -128,19 +125,19 @@ def normals(
     n_pairs = (n_components + 1) // 2
 
     # the word buffers are allocated once and reused by every group
-    row_blocks = k_steps * n_pairs
+    row_blocks = n_steps * n_pairs
     rows = max(1, _PASS_BLOCKS // row_blocks)
     scratch = [
         np.empty(min(rows, paths.size) * row_blocks, dtype=np.uint64) for _ in range(6)
     ]
-    z = np.empty((paths.size, k_steps, 2 * n_pairs))
-    steps = np.arange(step, step + k_steps, dtype=np.uint64)[:, None]
+    z = np.empty((paths.size, n_steps, 2 * n_pairs))
+    steps = np.arange(step, step + n_steps, dtype=np.uint64)[:, None]
     pairs = np.arange(n_pairs, dtype=np.uint64)
     k0 = np.uint64(seed) & _MASK32
     k1 = np.uint64(seed) >> _SHIFT32
     for first in range(0, paths.size, rows):
         group = paths[first : first + rows]
-        shape = (group.size, k_steps, n_pairs)
+        shape = (group.size, n_steps, n_pairs)
         words = [w[: group.size * row_blocks].reshape(shape) for w in scratch]
         _philox_4x32(
             steps, (group & _MASK32)[:, None, None], pairs, (group >> _SHIFT32)[:, None, None],
@@ -167,5 +164,4 @@ def normals(
         zg = z[first : first + rows]
         np.multiply(radius, np.cos(angle, out=trig), out=zg[..., 0::2])
         np.multiply(radius, np.sin(angle, out=trig), out=zg[..., 1::2])
-    z = z[..., :n_components]
-    return z[:, 0] if n_steps is None else z
+    return z[..., :n_components]

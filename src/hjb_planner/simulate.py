@@ -13,11 +13,11 @@ path is a pure function of (seed, path_index) no matter how paths are
 batched or scheduled, or how many steps one draw covers; means are reduced
 in path-index order so Monte Carlo results are reproducible bit for bit.
 
-One pass serves both the cost statistics and the plot: the paths asked for
-are traced while the batch that holds them runs, so no path is simulated
-twice.  The rate's certified range is checked once per batch (r_max >= R);
-after that the loop keeps 0 <= |y| < R, and rho is evaluated on every step
-without a range check.
+One pass serves both the cost statistics and the plot: the first paths
+of a batch are traced while it runs, so no path is simulated twice.  The
+rate's certified range is checked once per batch (r_max >= R); after that
+the loop keeps 0 <= |y| < R, and rho is evaluated on every step without a
+range check.
 """
 
 from __future__ import annotations
@@ -91,15 +91,17 @@ def _run_paths(
     rate: RateSeries,
     cfg: SimConfig,
     path_indices: np.ndarray,
-    trace_paths: frozenset = frozenset(),
+    n_traced: int = 0,
     trace_stride: int = 1,
 ):
     """Vectorized Euler-Maruyama over a batch of paths.
 
     Returns (tau, cost, exited, y_final, traces) with arrays aligned to
-    path_indices; traces maps each index of trace_paths in the batch to an
-    array of rows (t, y..., cost), sampled every trace_stride steps and at
-    the exit or the horizon.  Per-path arithmetic is elementwise, so results
+    path_indices; traces holds one array per path of the batch's first
+    n_traced (n_traced >= 0), in batch order, with rows (t, y..., cost)
+    sampled every trace_stride steps and at the exit or the horizon.  Exits
+    keep the running rows in order, so the traced paths still running are
+    always the first rows.  Per-path arithmetic is elementwise, so results
     do not depend on how the batch is chunked.
 
     Raises:
@@ -132,24 +134,16 @@ def _run_paths(
     y = np.tile(cfg.y0, (m, 1))
     cost = np.zeros(m)
     pos = np.arange(m)  # result slots of still-running paths
-    # traced_alive flags the traced running paths; None once none runs
-    traced_alive = None
-    traces: dict[int, list] = {}
-    if trace_paths:
-        wanted = np.fromiter(trace_paths, dtype=np.uint64, count=len(trace_paths))
-        traced_alive = np.isin(paths, wanted)
-        traces = {pid: [] for pid in paths[traced_alive].tolist()}
-        if not traces:
-            traced_alive = None
+    live = min(n_traced, m)  # rows [0, live) are the traced running paths
+    traces: list = [[] for _ in range(live)]
 
     def record(rows, step):
-        rows = np.flatnonzero(rows)
         sampled = np.empty((rows.size, n + 2))
         sampled[:, 0] = step * dt
         sampled[:, 1:-1] = y[rows]
         sampled[:, -1] = cost[rows]
-        for pid, row in zip(paths[pos[rows]].tolist(), sampled):
-            traces[pid].append(row)
+        for slot, row in zip(pos[rows].tolist(), sampled):
+            traces[slot].append(row)
 
     # noise comes in blocks of consecutive steps; z_rows maps each running
     # path to its row of the current block, None while they are all its rows
@@ -158,10 +152,10 @@ def _run_paths(
     for step in range(cfg.max_steps):
         r = np.sqrt(np.einsum("ij,ij->i", y, y))
         hit = r >= radius
-        if traced_alive is not None:
-            sample_now = traced_alive if step % trace_stride == 0 else traced_alive & hit
-            if sample_now.any():
-                record(sample_now, step)
+        if live:
+            rows = np.arange(live) if step % trace_stride == 0 else np.flatnonzero(hit[:live])
+            if rows.size:
+                record(rows, step)
         if hit.any():
             slots = pos[hit]
             exited[slots] = True
@@ -169,11 +163,8 @@ def _run_paths(
             cost_total[slots] = cost[hit]
             y_final[slots] = y[hit]
             keep = ~hit
+            live = int(np.count_nonzero(keep[:live]))
             pos, y, cost, r = pos[keep], y[keep], cost[keep], r[keep]
-            if traced_alive is not None:
-                traced_alive = traced_alive[keep]
-                if not traced_alive.any():
-                    traced_alive = None
             if pos.size == 0:
                 break
             if step < block_stop:
@@ -182,7 +173,7 @@ def _run_paths(
         cost += (rho * rho + 1.0) * r * r * dt
         if step == block_stop:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
-            block = normals(cfg.seed, paths[pos], step, n, n_steps=k)
+            block = normals(cfg.seed, paths[pos], step, n, k)
             block_start, block_stop = step, step + k
             z_rows = None
         # each (path, step) entry of a block is used once, so the step's
@@ -203,10 +194,10 @@ def _run_paths(
     else:
         cost_total[pos] = cost
         y_final[pos] = y
-        if traced_alive is not None:
-            record(traced_alive, cfg.max_steps)
+        if live:
+            record(np.arange(live), cfg.max_steps)
 
-    traces = {pid: np.array(rows) for pid, rows in traces.items()}
+    traces = [np.array(rows) for rows in traces]
     return tau, cost_total, exited, y_final, traces
 
 
@@ -220,12 +211,11 @@ def euler_path(
     """Simulate one path; fully determined by (cfg.seed, path_index)."""
     if path_index < 0 or path_index >= 2**64:
         raise ValueError("path_index must be a nonnegative 64-bit integer")
-    trace_set = frozenset([int(path_index)]) if record_trace else frozenset()
     tau, cost, exited, y_final, traces = _run_paths(
         rate,
         cfg,
         np.asarray([path_index], dtype=np.uint64),
-        trace_paths=trace_set,
+        n_traced=int(record_trace),
         trace_stride=max(1, int(trace_stride)),
     )
     return PathResult(
@@ -233,31 +223,31 @@ def euler_path(
         cost=float(cost[0]),
         exited=bool(exited[0]),
         y_final=y_final[0],
-        path_trace=traces.get(int(path_index)),
+        path_trace=traces[0] if traces else None,
     )
 
 
 def collect_costs(
     rate: RateSeries,
     cfg: SimConfig,
-    trace_paths: frozenset = frozenset(),
+    n_traced: int = 0,
     trace_stride: int = 1,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, list]:
     """Accumulated cost and exit flag for paths 0..n_paths-1, in index order,
-    and the traces of the paths in trace_paths (as _run_paths returns them),
-    recorded in the same pass."""
+    and the traces of paths 0..n_traced-1 (as _run_paths returns them, one
+    array per path, in index order), recorded in the same pass."""
     costs = np.empty(cfg.n_paths)
     exited = np.empty(cfg.n_paths, dtype=bool)
-    traces: dict = {}
+    traces: list = []
     for start in range(0, cfg.n_paths, _CHUNK):
         stop = min(start + _CHUNK, cfg.n_paths)
         idx = np.arange(start, stop, dtype=np.uint64)
         _, chunk_cost, chunk_exited, _, chunk_traces = _run_paths(
-            rate, cfg, idx, trace_paths, trace_stride
+            rate, cfg, idx, max(0, n_traced - start), trace_stride
         )
         costs[start:stop] = chunk_cost
         exited[start:stop] = chunk_exited
-        traces.update(chunk_traces)
+        traces.extend(chunk_traces)
     return costs, exited, traces
 
 

@@ -174,10 +174,13 @@ def run_verify(
     regardless of outcome.
 
     Raises:
-        ValueError: if an axis is empty, so no cell would be checked.
+        ValueError: if an axis is empty, so no cell would be checked, or
+            grid_points < 2; both before output_dir is created.
     """
     if not (n_list and sigma_list and radius_list):
         raise ValueError("verify axes must be non-empty")
+    if grid_points < 2:
+        raise ValueError(f"verify grid_points must be >= 2, got {grid_points}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -305,28 +308,25 @@ def run_simulate(
     first min(n_trace_paths, n_paths) paths are traced for the plot in the
     same pass that computes the Monte Carlo mean, so the plotted paths are
     the ones that entered it; the rate's range is checked once per batch.
+    Every artifact is written atomically, and a refused input writes none:
+    output_dir is created with the first file.
     """
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = ModelParams(n_goods=n_goods, sigma=sigma, radius=radius)
     rate = build_rate(build_kernel(params, r_max=radius))
 
-    n_traced = min(n_trace_paths, cfg.n_paths)
     # sample ~2000 points over a few noise-driven exit times (R^2/(N sigma^2)),
     # capped by the horizon; deterministic in (params, cfg) so reruns match
     typical_steps = int(3.0 * radius**2 / (n_goods * sigma**2) / cfg.dt) + 1
     stride = max(1, min(cfg.max_steps, typical_steps) // 2000)
-    costs, exited, traces = collect_costs(
-        rate, cfg, trace_paths=frozenset(range(n_traced)), trace_stride=stride
-    )
+    costs, exited, traces = collect_costs(rate, cfg, n_trace_paths, stride)
     mean, stderr, n_exited = cost_statistics(costs, exited)
     summary_path = out / "mc_summary.csv"
     write_mc_summary(summary_path, mean, stderr, n_exited, cfg)
 
     curves = []
     trace_files = []
-    for pid in range(n_traced):
-        arr = traces[pid]
+    for pid, arr in enumerate(traces):
         t = arr[:, 0]
         norms = np.sqrt(np.sum(arr[:, 1 : 1 + n_goods] ** 2, axis=1))
         curves.append((t, norms))

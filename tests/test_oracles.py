@@ -86,6 +86,10 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_solve(p, np.linspace(0, 2, 10))  # beyond the radius
 
+    def test_range_refusal_names_largest_point(self):
+        with pytest.raises(ValueError, match=r"radius=1\.0\], got largest point 2\.0"):
+            picard_solve(ModelParams(2, 1.0, 1.0), np.linspace(0, 2, 10))
+
 
 class TestOdeSolve:
     def test_matches_series_and_initial_conditions(self, std_kernel):
@@ -156,6 +160,12 @@ class TestOdeSolve:
         got = ode_solve(ModelParams(100, 5.0, 1.0), 1.0, grid=grid)
         assert got.series_points == np.count_nonzero(grid <= 0.5) == 101
         assert got.nfev > 0
+
+    def test_grid_refusal_names_r_max_and_ends(self):
+        with pytest.raises(ValueError, match=r"r_max=1\.0\], got ends 0\.0 and 1\.5"):
+            ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[0.0, 1.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[])
 
     def test_origin_only_grid(self):
         got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[0.0])

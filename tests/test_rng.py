@@ -11,37 +11,37 @@ _MASK = 0xFFFFFFFF
 
 
 def test_deterministic():
-    a = normals(987654321, np.arange(100), 13, 4)
-    b = normals(987654321, np.arange(100), 13, 4)
+    a = normals(987654321, np.arange(100), 13, 4, 1)
+    b = normals(987654321, np.arange(100), 13, 4, 1)
     assert np.array_equal(a, b)
 
 
 def test_pure_function_of_key_tuple():
-    base = normals(1, [7], 3, 2)
-    assert not np.array_equal(base, normals(2, [7], 3, 2))  # seed
-    assert not np.array_equal(base, normals(1, [8], 3, 2))  # path
-    assert not np.array_equal(base, normals(1, [7], 4, 2))  # step
+    base = normals(1, [7], 3, 2, 1)
+    assert not np.array_equal(base, normals(2, [7], 3, 2, 1))  # seed
+    assert not np.array_equal(base, normals(1, [8], 3, 2, 1))  # path
+    assert not np.array_equal(base, normals(1, [7], 4, 2, 1))  # step
 
 
 def test_path_rows_independent_of_batch_shape():
-    batch = normals(42, np.arange(1000), 5, 3)
+    batch = normals(42, np.arange(1000), 5, 3, 1)
     for path in (0, 17, 999):
-        alone = normals(42, [path], 5, 3)
+        alone = normals(42, [path], 5, 3, 1)
         assert np.array_equal(batch[path], alone[0])
 
 
 def test_shapes_and_odd_component_count():
-    z = normals(0, np.arange(10), 0, 5)
-    assert z.shape == (10, 5)
-    z7 = normals(0, np.arange(3), 0, 7)
-    assert z7.shape == (3, 7)
+    z = normals(0, np.arange(10), 0, 5, 1)
+    assert z.shape == (10, 1, 5)
+    z7 = normals(0, np.arange(3), 0, 7, 2)
+    assert z7.shape == (3, 2, 7)
     # odd counts are a truncation of the next even draw
-    z8 = normals(0, np.arange(3), 0, 8)
-    assert np.array_equal(z7, z8[:, :7])
+    z8 = normals(0, np.arange(3), 0, 8, 2)
+    assert np.array_equal(z7, z8[..., :7])
 
 
 def test_moments_and_tail():
-    z = normals(2024, np.arange(100_000), 1, 4).ravel()
+    z = normals(2024, np.arange(100_000), 1, 4, 1).ravel()
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.std() - 1.0) < 4.0 / np.sqrt(n)
@@ -53,24 +53,26 @@ def test_moments_and_tail():
 
 def test_weak_correlations():
     # across steps within one path, and across adjacent paths within a step
-    across_steps = np.asarray([normals(7, [123], s, 2)[0] for s in range(4000)])
+    across_steps = normals(7, [123], 0, 2, 4000)[0]
     corr = np.corrcoef(across_steps[:-1, 0], across_steps[1:, 0])[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(4000)
 
-    block = normals(7, np.arange(4001), 9, 2)
+    block = normals(7, np.arange(4001), 9, 2, 1)[:, 0]
     corr_paths = np.corrcoef(block[:-1, 0], block[1:, 0])[0, 1]
     assert abs(corr_paths) < 4.0 / np.sqrt(4001)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        normals(-1, [0], 0, 2)
+        normals(-1, [0], 0, 2, 1)
     with pytest.raises(ValueError):
-        normals(2**64, [0], 0, 2)
+        normals(2**64, [0], 0, 2, 1)
     with pytest.raises(ValueError):
-        normals(0, [0], -1, 2)
+        normals(0, [0], -1, 2, 1)
     with pytest.raises(ValueError):
-        normals(0, [0], 0, 0)
+        normals(0, [0], 0, 0, 1)
+    with pytest.raises(TypeError):
+        normals(0, [0], 0, 2)  # n_steps is required
 
 
 @given(
@@ -95,13 +97,14 @@ def test_step_block_rows_are_the_single_step_draws(
     block = normals(seed, paths, step, n_components, n_steps=n_steps)
     assert block.shape == (len(paths), n_steps, n_components)
     for k in range(n_steps):
-        single = normals(seed, paths, step + k, n_components)
+        single = normals(seed, paths, step + k, n_components, 1)[:, 0]
         assert np.array_equal(block[:, k], single)
 
 
 def test_step_block_of_one_is_the_single_step():
     block = normals(3, np.arange(5), 11, 3, n_steps=1)
-    assert np.array_equal(block[:, 0], normals(3, np.arange(5), 11, 3))
+    assert block.shape == (5, 1, 3)
+    assert np.array_equal(block[:, 0], normals(3, np.arange(5), 10, 3, 2)[:, 1])
 
 
 def test_step_block_validation():
@@ -199,7 +202,7 @@ def _sha256(a):
 
 def test_pinned_wide_one_step_draw():
     # N=100 over 1,200 paths, one step: the shape of the many-goods workload
-    z = normals(20261018, np.arange(1200), 7, 100)
+    z = normals(20261018, np.arange(1200), 7, 100, 1)[:, 0]
     assert z.shape == (1200, 100)
     pinned = {
         (0, 0): 1.2002725519492516,

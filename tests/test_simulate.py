@@ -65,7 +65,7 @@ class TestEulerPath:
         # p(0) = 0, so y(dt) = sigma sqrt(dt) Z exactly
         cfg = SimConfig(dt=1e-3, max_steps=1, n_paths=1, seed=5, y0=np.zeros(2))
         result = euler_path(std_rate, cfg, 4)
-        z = normals(5, [4], 0, 2)[0]
+        z = normals(5, [4], 0, 2, 1)[0, 0]
         expected = math.sqrt(1e-3) * z
         assert np.array_equal(result.y_final, expected)
         assert not result.exited
@@ -146,7 +146,7 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize(
         "dim,y0_scale,max_steps,n_paths",
-        [(2, 0.0, 100_000, 40), (5, 0.3, 100_000, 30), (2, 0.0, 37, 12)],
+        [(2, 0.0, 100_000, 40), (5, 0.3, 100_000, 30), (2, 0.0, 37, 12), (2, 0.0, 37, 3)],
     )
     def test_step_blocks_do_not_change_paths(
         self, monkeypatch, dim, y0_scale, max_steps, n_paths
@@ -157,26 +157,26 @@ class TestBatchEngine:
             y0=np.full(dim, y0_scale / math.sqrt(dim)),
         )
         idx = np.arange(n_paths, dtype=np.uint64)
-        traced = frozenset({0, 3})
+        n_traced = 4  # more than the batch in the last case
         draws = []
 
-        def recording_normals(seed, paths, step, n_components, n_steps=None):
+        def recording_normals(seed, paths, step, n_components, n_steps):
             draws.append((step, n_steps))
             return normals(seed, paths, step, n_components, n_steps)
 
         monkeypatch.setattr(simulate_module, "normals", recording_normals)
-        blocked = _run_paths(rate, cfg, idx, trace_paths=traced, trace_stride=3)
+        blocked = _run_paths(rate, cfg, idx, n_traced, trace_stride=3)
         assert max(k for _, k in draws) > 1
         assert all(step + k <= max_steps for step, k in draws)
         monkeypatch.setattr(simulate_module, "_DRAW_BUDGET", 1)
         draws.clear()
-        single = _run_paths(rate, cfg, idx, trace_paths=traced, trace_stride=3)
+        single = _run_paths(rate, cfg, idx, n_traced, trace_stride=3)
         assert {k for _, k in draws} == {1}
         for a, b in zip(blocked[:4], single[:4]):
             assert np.array_equal(a, b)
-        assert blocked[4].keys() == single[4].keys() == traced
-        for pid in traced:
-            assert np.array_equal(blocked[4][pid], single[4][pid])
+        assert len(blocked[4]) == len(single[4]) == min(n_traced, n_paths)
+        for a, b in zip(blocked[4], single[4]):
+            assert np.array_equal(a, b)
 
 
 class TestOnePass:
@@ -190,6 +190,7 @@ class TestOnePass:
             (5, [0.3, 0.1, -0.2, 0.0, 0.1], 100_000, 30, 7, 65536),
             (2, [0.0, 0.0], 37, 12, 5, 5),  # horizon cuts paths; traces span chunks
             (2, [1.0, 0.0], 10, 4, 1, 65536),  # every path starts on the boundary
+            (2, [0.0, 0.0], 37, 7, 5, 5),  # more traced than paths, over two chunks
         ],
     )
     def test_traces_match_single_paths(
@@ -198,10 +199,10 @@ class TestOnePass:
         monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
         rate = build_rate(build_kernel(ModelParams(dim, 1.0, 1.0), r_max=1.0))
         cfg = SimConfig(dt=1e-3, max_steps=max_steps, n_paths=n_paths, seed=8, y0=y0)
-        traced = frozenset({0, 3, n_paths - 1})
-        costs, exited, traces = collect_costs(rate, cfg, traced, stride)
-        assert traces.keys() == traced
-        for pid in traced:
+        n_traced = 12  # a prefix of the first two cases, all paths of the others
+        costs, exited, traces = collect_costs(rate, cfg, n_traced, stride)
+        assert len(traces) == min(n_traced, n_paths)
+        for pid in range(len(traces)):
             single = euler_path(rate, cfg, pid, record_trace=True, trace_stride=stride)
             assert traces[pid].dtype == np.float64
             assert np.array_equal(traces[pid], single.path_trace)
@@ -209,12 +210,12 @@ class TestOnePass:
         plain_costs, plain_exited, plain_traces = collect_costs(rate, cfg)
         assert np.array_equal(costs, plain_costs)
         assert np.array_equal(exited, plain_exited)
-        assert plain_traces == {}
+        assert plain_traces == []
         if max_steps == 37:
             assert not exited.all()
         if y0[0] == 1.0:
             assert exited.all() and not costs.any()
-            assert all(trace.shape == (1, dim + 2) for trace in traces.values())
+            assert all(trace.shape == (1, dim + 2) for trace in traces)
 
     def test_range_checked_before_any_step(self, std_rate, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -318,5 +319,5 @@ class TestMonteCarlo:
                 alive, y = alive[~hit], y[~hit]
                 if alive.size == 0:
                     break
-            y = y + noise * normals(cfg.seed, alive, step, 2)
+            y = y + noise * normals(cfg.seed, alive, step, 2, 1)[:, 0]
         assert tau_controlled.mean() < tau_null.mean()

@@ -178,6 +178,12 @@ class TestRunVerify:
             run_verify(tmp_path / "out", **{axis: ()})
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_too_few_grid_points_refused(self, tmp_path, grid_points):
+        with pytest.raises(ValueError, match=f"grid_points must be >= 2, got {grid_points}"):
+            run_verify(tmp_path / "out", grid_points=grid_points)
+        assert not (tmp_path / "out").exists()
+
     def test_fault_injection_names_bound_violation(self, tmp_path, capsys, monkeypatch, corrupt):
         build_kernel = sweep.build_kernel
         monkeypatch.setattr(sweep, "build_kernel", lambda *a, **k: corrupt(build_kernel(*a, **k)))
@@ -379,6 +385,7 @@ class TestCli:
             (["cost", "--n", "2", "--radius", "1", "--r0", "2"], r"hjb-planner cost: .*r0 = 2\.0"),
             (["sweep", "--n", "x"], "hjb-planner sweep: .*'x'"),
             (["cost", "--n", "2", "--radius", "1", "--r0", "-1"], r"hjb-planner cost: .*r = -1\.0"),
+            (["simulate", "--n", "2", "--y0", "0,0,0"], "hjb-planner simulate: .*3 components"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
