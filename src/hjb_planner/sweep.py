@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, csv_text, write_csv
+from .fileio import atomic_write_text, csv_text, fmt, write_csv
 from .oracles import (
     BoundViolation,
     check_bounds,
@@ -187,7 +187,8 @@ def run_verify(
 
     eq_rows = []
     failed_cells = []
-    bound_rows = []
+    # verify_bounds.csv by cell: its N,sigma,radius prefix is formatted once
+    bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
     bound_failures: list[str] = []
     min_margin = math.inf
     for n, s, radius in itertools.product(n_list, sigma_list, radius_list):
@@ -212,7 +213,10 @@ def run_verify(
         except BoundViolation as exc:
             report = exc.report
             bound_failures.append(str(exc))
-        bound_rows.extend((n, s, radius, *row) for row in report.rows)
+        prefix = f"{fmt(n)},{fmt(s)},{fmt(radius)},"
+        bound_parts.append(
+            "".join(f"{prefix}{r:.17g},{name},{m:.17g}\n" for r, name, m in report.rows)
+        )
         min_margin = min(min_margin, report.min_margin)
 
     write_csv(
@@ -237,11 +241,7 @@ def run_verify(
     elif not failed_cells:
         echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
 
-    write_csv(
-        out / "verify_bounds.csv",
-        ["N", "sigma", "radius", "r", "bound_name", "margin"],
-        bound_rows,
-    )
+    atomic_write_text(out / "verify_bounds.csv", "".join(bound_parts))
     failures.extend(bound_failures)
     if bound_failures:
         echo(f"bounds: FAIL ({bound_failures[0]})")

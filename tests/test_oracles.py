@@ -124,6 +124,20 @@ class TestOdeSolve:
                     worst = max(worst, max_rel_diff(got.values, series))
         assert worst <= 5e-11
 
+    def test_gate_cells_match_series_within_budget(self):
+        # the sigma=0.5, R=2 cells of every N, where LSODA takes 4,022
+        # right-hand-side evaluations; the budget refuses an explicit
+        # stepper such as DOP853, which needs about 24,800 here
+        nfev = 0
+        for n in (1, 2, 4, 10, 100):
+            params = ModelParams(n, 0.5, 2.0)
+            grid = np.linspace(0.0, 2.0, 200)
+            series = eval_u(build_kernel(params, r_max=2.0), grid)
+            got = ode_solve(params, 2.0, grid=grid)
+            assert max_rel_diff(got.values, series) <= 5e-11
+            nfev += got.nfev
+        assert nfev < 8000
+
     @pytest.mark.parametrize("n", [300, 1000])
     def test_large_n_matches_series(self, n):
         for sigma in (0.5, 1.0, 2.0):

@@ -171,6 +171,29 @@ class TestRunVerify:
         assert bounds[0] == "N,sigma,radius,r,bound_name,margin"
         assert len(bounds) == 1 + 4 * 120
 
+    def test_bounds_csv_is_the_write_csv_rendering(self, tmp_path):
+        # the bounds report is formatted by cell; write_csv of the report
+        # rows is the reference, with an int sigma rendered as str() does
+        run_verify(
+            tmp_path,
+            n_list=(2, 10),
+            sigma_list=(1, 2.5),
+            radius_list=(1.0,),
+            grid_points=30,
+            echo=lambda line: None,
+        )
+        rows = []
+        for n in (2, 10):
+            for s in (1, 2.5):
+                kernel = build_kernel(ModelParams(n, s, 1.0), r_max=1.0)
+                report = oracles.check_bounds(kernel, np.linspace(0.0, 1.0, 30))
+                rows.extend((n, s, 1.0, *row) for row in report.rows)
+        header = ["N", "sigma", "radius", "r", "bound_name", "margin"]
+        write_csv(tmp_path / "rows.csv", header, rows)
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "verify_bounds.csv").read_bytes() == expected
+        assert b"\n2,1,1,0," in expected
+
     @pytest.mark.parametrize("axis", ["n_list", "sigma_list", "radius_list"])
     def test_empty_axis_refused(self, tmp_path, axis):
         # an empty cross would otherwise pass the equivalence check vacuously
