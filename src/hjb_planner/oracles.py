@@ -471,13 +471,13 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
             violation.
     """
     r = np.asarray(grid, dtype=float)
-    if r.ndim != 1 or np.any(np.diff(r) <= 0) or np.any(r < 0):
+    if r.ndim != 1 or np.any(np.diff(r) <= 0) or not np.all(r >= 0):
         raise ValueError("grid must be 1-D, strictly increasing, nonnegative")
     n = kernel.params.n_goods
     sigma2 = kernel.params.sigma**2
 
-    rows = []
-    rp = r[r > 0.0]
+    positive = r > 0.0
+    rp = r[positive]
     x = rp**4 / (4.0 * sigma2 * sigma2)
     s2 = rp * rp / sigma2
     log_u = eval_log_u(kernel, rp)
@@ -491,36 +491,27 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
     log_u_bound = x / (n + 2)
     log_up_bound = 3.0 * np.log(rp) - math.log(sigma2 * sigma2 * (n + 2)) + x / (n + 2)
 
-    margins = {
-        "kernel_growth": -np.expm1(log_u - log_u_bound),
-        "kernel_slope_growth": -np.expm1(log_up - log_up_bound),
-        "rate_sigma_bound": 1.0 - s2 * b_over_a,
-        "rate_envelope": 1.0 - b_over_a * (n + np.hypot(n, 2.0 * s2)) / 2.0,
-    }
+    # one row per grid point, one column per bound in the order named below.
     # Origin: u = 1 meets its bound with equality, u' and the rate are
     # exactly 0 against bounds 0 and 1, and 1 - rho/env takes its limit
     # 1 - a_1 N = 2/(N+2), so the envelope column has no jump at r = 0.
-    origin = {
-        "kernel_growth": 0.0,
-        "kernel_slope_growth": 0.0,
-        "rate_sigma_bound": 1.0,
-        "rate_envelope": 2.0 / (n + 2),
-    }
+    margins = np.empty((r.size, 4))
+    margins[~positive] = (0.0, 0.0, 1.0, 2.0 / (n + 2))
+    margins[positive, 0] = -np.expm1(log_u - log_u_bound)
+    margins[positive, 1] = -np.expm1(log_up - log_up_bound)
+    margins[positive, 2] = 1.0 - s2 * b_over_a
+    margins[positive, 3] = 1.0 - b_over_a * (n + np.hypot(n, 2.0 * s2)) / 2.0
+    rows = [
+        (radius, name, margin)
+        for radius, row in zip(r.tolist(), margins.tolist())
+        for name, margin in zip(
+            ("kernel_growth", "kernel_slope_growth", "rate_sigma_bound", "rate_envelope"), row
+        )
+    ]
 
-    names = ("kernel_growth", "kernel_slope_growth", "rate_sigma_bound", "rate_envelope")
-    pos_index = 0
-    for i, radius in enumerate(r):
-        if radius == 0.0:
-            for name in names:
-                rows.append((float(radius), name, origin[name]))
-        else:
-            for name in names:
-                rows.append((float(radius), name, float(margins[name][pos_index])))
-            pos_index += 1
-
-    worst = next((row for row in rows if not math.isfinite(row[2])), None) or min(
-        rows, key=lambda row: row[2]
-    )
+    flat = margins.ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    worst = rows[bad[0] if bad.size else np.argmin(flat)]
     report = BoundReport(
         rows=tuple(rows),
         min_margin=worst[2],

@@ -145,10 +145,11 @@ def _run_paths(
         for slot, row in zip(pos[rows].tolist(), sampled):
             traces[slot].append(row)
 
-    # noise comes in blocks of consecutive steps; z_rows maps each running
-    # path to its row of the current block, None while they are all its rows
+    # noise comes in blocks of consecutive steps, one row per running path:
+    # a block is scaled once when drawn, compacted with the other running
+    # arrays on an exit, and gives up its first column on every step
     pairs = (n + 1) // 2
-    block_start = block_stop = 0
+    block = np.empty((m, 0, n))
     for step in range(cfg.max_steps):
         r = np.sqrt(np.einsum("ij,ij->i", y, y))
         hit = r >= radius
@@ -164,26 +165,16 @@ def _run_paths(
             y_final[slots] = y[hit]
             keep = ~hit
             live = int(np.count_nonzero(keep[:live]))
-            pos, y, cost, r = pos[keep], y[keep], cost[keep], r[keep]
+            pos, y, cost, r, block = pos[keep], y[keep], cost[keep], r[keep], block[keep]
             if pos.size == 0:
                 break
-            if step < block_stop:
-                z_rows = np.flatnonzero(keep) if z_rows is None else z_rows[keep]
         rho = _rho_unchecked(rate, r)
         cost += (rho * rho + 1.0) * r * r * dt
-        if step == block_stop:
+        if block.shape[1] == 0:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
             block = normals(cfg.seed, paths[pos], step, n, k)
-            block_start, block_stop = step, step + k
-            z_rows = None
-        # each (path, step) entry of a block is used once, so the step's
-        # noise is scaled in place: a view of the block until a path exits
-        # inside it, then a copy of the running paths' rows
-        if z_rows is None:
-            z = block[:, step - block_start]
-        else:
-            z = block[z_rows, step - block_start]
-        z *= noise_scale
+            block *= noise_scale
+        z, block = block[:, 0], block[:, 1:]
         # rounds as rho[:, None] * y * dt + z, in one temporary
         drift = np.multiply(rho[:, None], y)
         drift *= dt

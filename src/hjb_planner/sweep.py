@@ -317,8 +317,8 @@ def run_simulate(
 
     # sample ~2000 points over a few noise-driven exit times (R^2/(N sigma^2)),
     # capped by the horizon; deterministic in (params, cfg) so reruns match
-    typical_steps = int(3.0 * radius**2 / (n_goods * sigma**2) / cfg.dt) + 1
-    stride = max(1, min(cfg.max_steps, typical_steps) // 2000)
+    exit_steps = min(3.0 * radius**2 / (n_goods * sigma**2) / cfg.dt, cfg.max_steps)
+    stride = max(1, min(cfg.max_steps, int(exit_steps) + 1) // 2000)
     costs, exited, traces = collect_costs(rate, cfg, n_trace_paths, stride)
     mean, stderr, n_exited = cost_statistics(costs, exited)
     summary_path = out / "mc_summary.csv"

@@ -263,6 +263,29 @@ class TestCheckBounds:
         assert envelope_margin[0.0] == pytest.approx(envelope_margin[1e-300], abs=1e-15)
         assert envelope_margin[1.0] == pytest.approx(0.1063066810927880, rel=1e-13)
 
+    def test_origin_alone_reports_first_tied_bound(self, std_kernel):
+        # both kernel margins are exactly 0 at the origin; the first wins
+        report = check_bounds(std_kernel, [0.0])
+        assert [name for _, name, _ in report.rows] == [
+            "kernel_growth",
+            "kernel_slope_growth",
+            "rate_sigma_bound",
+            "rate_envelope",
+        ]
+        assert report.min_margin == 0.0
+        assert report.worst_bound == "kernel_growth"
+        assert report.worst_r == 0.0
+
+    def test_grid_without_origin(self, std_kernel):
+        report = check_bounds(std_kernel, [0.25, 0.5, 1.0])
+        assert len(report.rows) == 12
+        assert all(r > 0.0 for r, _, _ in report.rows)
+        assert [r for r, _, _ in report.rows[::4]] == [0.25, 0.5, 1.0]
+
+    def test_nan_radius_refused(self, std_kernel):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_bounds(std_kernel, [0.0, math.nan, 1.0])
+
     def test_non_finite_margin_raises(self, wide_kernel):
         log_a = wide_kernel.log_a.copy()
         log_a[3] = math.nan

@@ -301,6 +301,16 @@ class TestCli:
         assert cells[5] == "77"  # config beats default
         assert cells[3] == "24"
 
+    def test_simulate_tiny_dt_runs_to_the_horizon(self, tmp_path, capsys):
+        # 3 R^2/(N sigma^2)/dt overflows to inf; the plot stride must not
+        # convert it to an int before capping it by the horizon
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dt", "1e-320", "--max-steps", "5", "--paths", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        summary = (out / "mc_summary.csv").read_text().splitlines()
+        assert summary[0].split(",")[2] == "n_exited"
+        assert summary[1].split(",")[2] == "0"
+
     @pytest.mark.parametrize(
         "word,traced", [("false", False), ("true", True), ("Off", False)]
     )
