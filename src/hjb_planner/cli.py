@@ -183,12 +183,13 @@ def _run(args) -> int:
         n = int(get("n", 2))
         sigma = float(get("sigma", 1.0))
         radius = float(get("radius", 1.0))
-        dt_default = 1e-4 * min(1.0, radius**2 / sigma**2)
-        dt = float(get("dt", dt_default))
+        dt = get("dt")
+        if dt is None:  # 1e-4 * min(1, R^2/sigma^2), dividing only where R^2 < sigma^2
+            dt = 1e-4 * (radius**2 / sigma**2 if radius**2 < sigma**2 else 1.0)
         y0_text = get("y0")
         y0 = np.asarray(_parse_floats(y0_text)) if y0_text else np.zeros(n)
         cfg = SimConfig(
-            dt=dt,
+            dt=float(dt),
             max_steps=int(get("max_steps", 1_000_000)),
             n_paths=int(get("paths", 1000)),
             seed=int(get("seed", 42)),

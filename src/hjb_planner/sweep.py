@@ -161,38 +161,38 @@ def run_verify(
     Checks, with one echoed line each: (1) triangular equivalence of the
     series kernel, the integral-form iteration, and direct ODE integration;
     (2) the bound suite margins; (3) closed-form 4-D fixtures; (4) the
-    factorial envelope on the iteration's successive differences.  Each
+    factorial envelope on each cell's Picard successive differences.  Each
     cell runs the ODE oracle before the Picard one, because the ODE's
     overflow refusal is an up-front check while a Picard solve can take
-    seconds.  A cell whose ODE or Picard oracle raises RuntimeError has no
-    equivalence row; it fails check (1) with one echoed line naming N,
-    sigma, R and the first oracle's reason, and gets a row in
-    verify_failed_cells.csv (header only when every cell ran).  When the
-    envelope's own Picard solve raises RuntimeError, check (4) fails with
-    one echoed line naming the reason, and verify_picard_bound.csv holds
-    its header only.  Reports are written as CSV into output_dir
-    regardless of outcome.
+    seconds.  A cell whose ODE or Picard oracle raises RuntimeError adds no
+    row to checks (1) and (4); it fails check (1) with one echoed line
+    naming N, sigma, R and the first oracle's reason, and gets a row in
+    verify_failed_cells.csv (header only when every cell ran).  When every
+    cell fails, neither check echoes a PASS line.  Reports are written as
+    CSV into output_dir regardless of outcome.
 
     Raises:
-        ValueError: if an axis is empty, so no cell would be checked, or
-            grid_points < 2; both before output_dir is created.
+        ValueError: if an axis is empty, so no cell would be checked,
+            grid_points < 2, or ModelParams refuses a cell's N, sigma or
+            R; all before output_dir is created or any oracle runs.
     """
     if not (n_list and sigma_list and radius_list):
         raise ValueError("verify axes must be non-empty")
     if grid_points < 2:
         raise ValueError(f"verify grid_points must be >= 2, got {grid_points}")
+    # every cell is refused or accepted up front; reports render the raw axis values
+    axes = itertools.product(n_list, sigma_list, radius_list)
+    cells = [(n, s, radius, ModelParams(n, s, radius)) for n, s, radius in axes]
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
 
-    eq_rows = []
-    failed_cells = []
+    eq_rows, failed_cells, envelope_rows = [], [], []
     # verify_bounds.csv by cell: its N,sigma,radius prefix is formatted once
     bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
     bound_failures: list[str] = []
     min_margin = math.inf
-    for n, s, radius in itertools.product(n_list, sigma_list, radius_list):
-        params = ModelParams(n_goods=n, sigma=s, radius=radius)
+    for n, s, radius, params in cells:
         grid = np.linspace(0.0, radius, grid_points)
         kernel = build_kernel(params, r_max=radius)
         series_vals = np.atleast_1d(eval_u(kernel, grid))
@@ -208,6 +208,10 @@ def run_verify(
                 max_rel_diff(picard.values, ode.values),
             )
             eq_rows.append((n, s, radius, *diffs))
+            envelope_rows.extend(
+                (n, s, radius, k, measured, picard_step_bound(params, radius, k))
+                for k, measured in enumerate(picard.sup_diffs)
+            )
         try:
             report = check_bounds(kernel, grid)
         except BoundViolation as exc:
@@ -261,31 +265,20 @@ def run_verify(
         failures.append(f"exact-4d fixtures (max residual {worst_exact:.3e})")
         echo(f"exact-4d fixtures: FAIL (max residual {worst_exact:.3e})")
 
-    pb_params = ModelParams(n_goods=2, sigma=1.0, radius=1.0)
-    pb_rows = []
-    try:
-        picard = picard_solve(pb_params, np.linspace(0.0, 1.0, grid_points))
-    except RuntimeError as exc:
-        # the report is still written, with its header only
-        failures.append(f"picard bound ({exc})")
-        echo(f"picard bound: FAIL ({exc})")
-    else:
-        pb_ok = True
-        for k, measured in enumerate(picard.sup_diffs):
-            bound = picard_step_bound(pb_params, pb_params.radius, k)
-            pb_rows.append((k, measured, bound))
-            if measured > bound * (1.0 + PICARD_BOUND_SLACK):
-                pb_ok = False
-        if pb_ok:
-            echo(f"picard factorial envelope: PASS ({len(pb_rows)} iterations)")
-        else:
-            failures.append("picard factorial envelope exceeded")
-            echo("picard factorial envelope: FAIL")
     write_csv(
         out / "verify_picard_bound.csv",
-        ["k", "measured_sup_diff", "analytic_bound"],
-        pb_rows,
+        ["N", "sigma", "radius", "k", "measured_sup_diff", "analytic_bound"],
+        envelope_rows,
     )
+    over = [row for row in envelope_rows if not row[4] <= row[5] * (1 + PICARD_BOUND_SLACK)]
+    if over:
+        n, s, radius, k, measured, bound = over[0]
+        cell = f"cell N={n} sigma={s!r} R={radius!r} k={k}"
+        failures.append(f"picard factorial envelope ({cell})")
+        echo(f"picard factorial envelope: FAIL ({cell}: {measured:.3e} > {bound:.3e})")
+    elif envelope_rows:
+        count = f"{len(envelope_rows)} iterations, {len(eq_rows)} cell(s)"
+        echo(f"picard factorial envelope: PASS ({count})")
 
     status = 0 if not failures else 1
     echo(f"verify: {'PASS' if status == 0 else 'FAIL'} ({len(failures)} failing check(s))")
@@ -309,10 +302,15 @@ def run_simulate(
     same pass that computes the Monte Carlo mean, so the plotted paths are
     the ones that entered it; the rate's range is checked once per batch.
     Every artifact is written atomically, and a refused input writes none:
-    output_dir is created with the first file.
+    output_dir is created with the first file.  A radius below sqrt of the
+    smallest normal double is refused: |y|^2 underflows there, so no path
+    could exit.
     """
     out = Path(output_dir)
     params = ModelParams(n_goods=n_goods, sigma=sigma, radius=radius)
+    floor = math.sqrt(np.finfo(float).tiny)
+    if params.radius < floor:
+        raise ValueError(f"stopping radius {radius!r} is below {floor:.3e}: |y|^2 underflows")
     rate = build_rate(build_kernel(params, r_max=radius))
 
     # sample ~2000 points over a few noise-driven exit times (R^2/(N sigma^2)),

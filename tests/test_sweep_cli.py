@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import math
 import os
 import re
@@ -207,6 +209,85 @@ class TestRunVerify:
             run_verify(tmp_path / "out", grid_points=grid_points)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "axis,values,reason",
+        [
+            ("n_list", (2, 0), "n_goods must be >= 1, got 0"),
+            ("sigma_list", (1.0, -1.0), "sigma must be a positive finite real, got -1.0"),
+            ("radius_list", (1.0, 0.0), "radius must be a positive finite real, got 0.0"),
+        ],
+    )
+    def test_bad_cell_refused_before_any_work(self, tmp_path, monkeypatch, axis, values, reason):
+        # the good cell comes first, so a late check would run its oracles
+        calls = []
+        for name in ("ode_solve", "picard_solve"):
+            solve = getattr(sweep, name)
+            monkeypatch.setattr(
+                sweep, name, lambda *a, _n=name, _f=solve, **k: calls.append(_n) or _f(*a, **k)
+            )
+        axes = {"n_list": (2,), "sigma_list": (1.0,), "radius_list": (1.0,), axis: values}
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            run_verify(tmp_path / "out", grid_points=20, echo=lambda line: None, **axes)
+        assert not (tmp_path / "out").exists()
+        assert calls == []
+
+    def test_envelope_reads_each_cells_own_picard_run(self, tmp_path, monkeypatch):
+        solved = []
+        solve = sweep.picard_solve
+
+        def counted(params, grid):
+            solved.append(solve(params, grid))
+            return solved[-1]
+
+        monkeypatch.setattr(sweep, "picard_solve", counted)
+        axes = ((1, 2), (1, 2.5), (1.0, 2.0))
+        status = run_verify(tmp_path, *axes, grid_points=30, echo=lambda line: None)
+        assert status == 0
+        cells = list(itertools.product(*axes))
+        assert len(solved) == len(cells) == 8
+        rows = [
+            (n, s, radius, k, measured,
+             oracles.picard_step_bound(ModelParams(n, s, radius), radius, k))
+            for (n, s, radius), picard in zip(cells, solved)
+            for k, measured in enumerate(picard.sup_diffs)
+        ]
+        header = ["N", "sigma", "radius", "k", "measured_sup_diff", "analytic_bound"]
+        write_csv(tmp_path / "rows.csv", header, rows)
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "verify_picard_bound.csv").read_bytes() == expected
+        assert b"\n2,2.5,2,0," in expected
+
+    @pytest.mark.parametrize(
+        "inflate", [lambda bound: 2.0 * bound, lambda bound: math.nan], ids=["above", "nan"]
+    )
+    def test_fault_injection_names_envelope_cell_and_k(
+        self, tmp_path, capsys, monkeypatch, inflate
+    ):
+        # cell N=10 reports a k=2 difference above the bound (or NaN); only
+        # check (4) fails, and its line names that cell and k
+        solve = sweep.picard_solve
+
+        def inflated(params, grid):
+            picard = solve(params, grid)
+            if params.n_goods != 10:
+                return picard
+            diffs = list(picard.sup_diffs)
+            diffs[2] = inflate(oracles.picard_step_bound(params, params.radius, 2))
+            return dataclasses.replace(picard, sup_diffs=tuple(diffs))
+
+        monkeypatch.setattr(sweep, "picard_solve", inflated)
+        status = run_verify(
+            tmp_path, n_list=(2, 10), sigma_list=(1.0,), radius_list=(1.0,), grid_points=30
+        )
+        assert status == 1
+        lines = capsys.readouterr().out.splitlines()
+        envelope = [ln for ln in lines if ln.startswith("picard")]
+        assert len(envelope) == 1
+        assert envelope[0].startswith(
+            "picard factorial envelope: FAIL (cell N=10 sigma=1.0 R=1.0 k=2: "
+        )
+        assert lines[-1] == "verify: FAIL (1 failing check(s))"
+
     def test_fault_injection_names_bound_violation(self, tmp_path, capsys, monkeypatch, corrupt):
         build_kernel = sweep.build_kernel
         monkeypatch.setattr(sweep, "build_kernel", lambda *a, **k: corrupt(build_kernel(*a, **k)))
@@ -339,9 +420,8 @@ class TestCli:
     def test_verify_oracle_failure_is_one_line_per_cell(self, tmp_path, capsys, monkeypatch):
         # sigma = 0.1: the direct ODE would overflow u, refused before any
         # Picard work; sigma = 0.5: the ODE runs but Picard, capped at 10
-        # iterations, needs 19.  The envelope check's cell (N=2, sigma=1,
-        # R=1) needs 5, so it still runs.  Neither cell may end in a
-        # traceback.
+        # iterations, needs 19.  Neither cell may end in a traceback, and
+        # neither adds an envelope row.
         monkeypatch.setattr(oracles, "_PICARD_MAX_ITER", 10)
         code = main(
             ["verify", "--n", "2", "--sigma", "0.1,0.5", "--radius", "2",
@@ -377,9 +457,10 @@ class TestCli:
         equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
         assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
 
-    def test_verify_envelope_picard_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # the envelope's Picard solve (N=2, sigma=1, R=1) needs 5 iterations;
-        # capped at 4 it raises, and verify still reports every check
+    def test_verify_picard_failure_is_reported_once(self, tmp_path, capsys, monkeypatch):
+        # the cell (N=2, sigma=1, R=1) needs 5 Picard iterations; capped at
+        # 4 it raises, which fails its equivalence cell and adds no envelope
+        # row, so check (4) has nothing to report
         monkeypatch.setattr(oracles, "_PICARD_MAX_ITER", 4)
         code = main(
             ["verify", "--n", "2", "--sigma", "1", "--radius", "1",
@@ -389,12 +470,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         lines = captured.out.splitlines()
-        envelope = [ln for ln in lines if ln.startswith("picard")]
-        assert len(envelope) == 1
-        assert envelope[0].startswith(
-            "picard bound: FAIL (Picard not converged after 4 iterations"
+        failed = [ln for ln in lines if ln.startswith("equivalence: FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "equivalence: FAIL (cell N=2 sigma=1.0 R=1.0: Picard not converged after 4 iterations"
         )
-        assert lines[-1].startswith("verify: FAIL (")
+        assert not [ln for ln in lines if ln.startswith("picard")]
+        assert lines[-1] == "verify: FAIL (1 failing check(s))"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "verify_bounds.csv",
             "verify_equivalence.csv",
@@ -403,7 +485,7 @@ class TestCli:
             "verify_picard_bound.csv",
         ]
         picard_bound = (tmp_path / "verify_picard_bound.csv").read_text().splitlines()
-        assert picard_bound == ["k,measured_sup_diff,analytic_bound"]
+        assert picard_bound == ["N,sigma,radius,k,measured_sup_diff,analytic_bound"]
 
     @pytest.mark.parametrize("verb", ["rate", "sweep"])
     def test_empty_r_grid_rejected(self, tmp_path, verb):
@@ -419,6 +501,20 @@ class TestCli:
             (["sweep", "--n", "x"], "hjb-planner sweep: .*'x'"),
             (["cost", "--n", "2", "--radius", "1", "--r0", "-1"], r"hjb-planner cost: .*r = -1\.0"),
             (["simulate", "--n", "2", "--y0", "0,0,0"], "hjb-planner simulate: .*3 components"),
+            (["verify", "--n", "0"], "hjb-planner verify: n_goods must be >= 1, got 0"),
+            (["verify", "--n", "2,0"], "hjb-planner verify: n_goods must be >= 1, got 0"),
+            (["verify", "--sigma", "-1"], "hjb-planner verify: sigma .*got -1.0"),
+            (["verify", "--radius", "0"], "hjb-planner verify: radius .*got 0.0"),
+            # the default dt is not computed when --dt is given, and never
+            # divides by an underflowed sigma^2
+            (["simulate", "--sigma", "1e-170", "--dt", "1e-3"],
+             "hjb-planner simulate: series truncation overflow: .*sigma=1e-170"),
+            (["simulate", "--sigma", "1e-170"],
+             "hjb-planner simulate: series truncation overflow: .*sigma=1e-170"),
+            (["simulate", "--radius", "1e-170", "--sigma", "1e-170", "--dt", "1e-3",
+              "--max-steps", "5"], "hjb-planner simulate: stopping radius 1e-170 is below"),
+            (["simulate", "--radius", "1e-170", "--sigma", "1e-165"],
+             "hjb-planner simulate: stopping radius 1e-170 is below"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
