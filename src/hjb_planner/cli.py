@@ -1,7 +1,9 @@
 """Command-line front end: rate, sweep, simulate, verify, cost.
 
-A thin shell over the library: flags beat config-file entries, which beat
-defaults; the effective seed always lands in the output files.
+A thin shell over the library.  OPTIONS declares each option once: flags
+beat config-file entries, which beat defaults, and --help lists every
+default.  A refused value ends the run in one line, `hjb-planner <verb>:
+<reason>`; the effective seed always lands in the output files.
 """
 
 from __future__ import annotations
@@ -17,26 +19,23 @@ from .params import ModelParams
 from .rate import build_rate, rate_table_text, write_rate_table
 from .series import build_kernel, expected_optimal_cost
 from .simulate import SimConfig
-from .sweep import SweepSpec, run_simulate, run_verify, sweep_rate
+from .sweep import VERIFY_GRID_POINTS, VERIFY_N, VERIFY_RADIUS, VERIFY_SIGMA
+from .sweep import SweepSpec, run_simulate, run_verify, simulation_params, sweep_rate
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, steps = text.split(":")
-        if int(steps) < 1:
-            raise ValueError("a grid needs at least one step")
-        grid = np.linspace(float(lo), float(hi), int(steps))
-    except ValueError as exc:
-        raise SystemExit(f"bad --r-grid {text!r}, expected min:max:steps") from exc
-    return grid
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected min:max:steps")
+    lo, hi, steps = parts
+    if int(steps) < 1:
+        raise ValueError("a grid needs at least one step")
+    return np.linspace(float(lo), float(hi), int(steps))
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(kind):
+    """The parse of a comma list of kind values, such as 2,10,100 for int."""
+    return lambda text: tuple(kind(tok) for tok in text.split(",") if tok.strip())
 
 
 _BOOLEANS = {
@@ -45,16 +44,59 @@ _BOOLEANS = {
 }
 
 
-def _parse_bool(key: str, value) -> bool:
-    """A flag's True, or a config-file word such as true/false or on/off."""
-    if isinstance(value, bool):
-        return value
+def _parse_bool(text: str) -> bool:
+    """A config-file word such as true/false or on/off."""
     try:
-        return _BOOLEANS[value.strip().lower()]
+        return _BOOLEANS[text.strip().lower()]
     except KeyError:
-        raise SystemExit(
-            f"bad boolean for {key}: {value!r} (want true/false, 1/0, yes/no, on/off)"
-        ) from None
+        raise ValueError("want true/false, 1/0, yes/no, on/off") from None
+
+
+# verb -> (help, rows); a row is (flag, parse, default, help).  Text from a
+# flag, a config line or a default goes through parse; a typed default is
+# used as it is.  A row parsed by _parse_bool is a switch: a bare flag, or
+# a true/false word in the config file.
+OPTIONS = {
+    "rate": ("evaluate the production-rate coefficient", (
+        ("--n", int, 2, "number of good types"),
+        ("--sigma", float, 1.0, "diffusion coefficient"),
+        ("--r", float, None, "single radius to evaluate"),
+        ("--r-grid", _parse_grid, None, "radius grid min:max:steps"),
+        ("--out", Path, None, "write rate_table.csv here instead of stdout"),
+    )),
+    "sweep": ("rate table over N x sigma x r", (
+        ("--n", _parse_list(int), (2, 10, 100), "comma list of goods counts"),
+        ("--sigma", _parse_list(float), (0.5, 1.0, 2.0), "comma list of diffusions"),
+        ("--r-grid", _parse_grid, "0:4:81", "radius grid min:max:steps"),
+        ("--out", Path, "out", "output directory"),
+    )),
+    "simulate": ("first-exit Monte Carlo run", (
+        ("--n", int, 2, "number of good types"),
+        ("--sigma", float, 1.0, "diffusion coefficient"),
+        ("--radius", float, 1.0, "stopping radius"),
+        ("--dt", float, None, "time step (default 1e-4 * min(1, R^2/sigma^2))"),
+        ("--paths", int, 1000, "number of Monte Carlo paths"),
+        ("--max-steps", int, 1_000_000, "horizon cap in steps"),
+        ("--seed", int, 42, "64-bit RNG seed"),
+        ("--y0", _parse_list(float), None, "comma list start state (default origin)"),
+        ("--trace", _parse_bool, False, "dump per-path trace CSVs"),
+        ("--out", Path, "out", "output directory"),
+    )),
+    "verify": ("run the oracle verification gate", (
+        ("--n", _parse_list(int), VERIFY_N, "comma list of goods counts"),
+        ("--sigma", _parse_list(float), VERIFY_SIGMA, "comma list of diffusions"),
+        ("--radius", _parse_list(float), VERIFY_RADIUS, "comma list of stopping radii"),
+        ("--grid-points", int, VERIFY_GRID_POINTS, "points per comparison grid"),
+        ("--out", Path, "out", "output directory"),
+    )),
+    "cost": ("expected optimal cost from a start radius", (
+        ("--n", int, 2, "number of good types"),
+        ("--sigma", float, 1.0, "diffusion coefficient"),
+        ("--radius", float, 1.0, "stopping radius"),
+        ("--r0", _parse_list(float), (0.0,), "comma list of start radii"),
+        ("--out", Path, "out", "output directory"),
+    )),
+}
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -63,12 +105,11 @@ def _read_config(path: str | None) -> dict[str, str]:
     values: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit(f"bad config line (want key=value): {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"bad config line (want key=value): {line!r}")
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -78,59 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal production-rate evaluation, verification, and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for verb, (verb_help, rows) in OPTIONS.items():
+        p = sub.add_parser(verb, help=verb_help)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
-        p.add_argument("--out", help="output directory (default ./out)")
-
-    p_rate = sub.add_parser("rate", help="evaluate the production-rate coefficient")
-    common(p_rate)
-    p_rate.add_argument("--n", help="number of good types")
-    p_rate.add_argument("--sigma", help="diffusion coefficient")
-    p_rate.add_argument("--r", help="single radius to evaluate")
-    p_rate.add_argument("--r-grid", help="radius grid min:max:steps")
-
-    p_sweep = sub.add_parser("sweep", help="rate table over N x sigma x r")
-    common(p_sweep)
-    p_sweep.add_argument("--n", help="comma list of goods counts")
-    p_sweep.add_argument("--sigma", help="comma list of diffusions")
-    p_sweep.add_argument("--r-grid", help="radius grid min:max:steps")
-
-    p_sim = sub.add_parser("simulate", help="first-exit Monte Carlo run")
-    common(p_sim)
-    p_sim.add_argument("--n", help="number of good types")
-    p_sim.add_argument("--sigma", help="diffusion coefficient")
-    p_sim.add_argument("--radius", help="stopping radius")
-    p_sim.add_argument("--dt", help="time step (default 1e-4 * min(1, R^2/sigma^2))")
-    p_sim.add_argument("--paths", help="number of Monte Carlo paths")
-    p_sim.add_argument("--max-steps", help="horizon cap in steps")
-    p_sim.add_argument("--seed", help="64-bit RNG seed")
-    p_sim.add_argument("--y0", help="comma list start state (default origin)")
-    p_sim.add_argument("--trace", action="store_true", default=None,
-                       help="dump per-path trace CSVs")
-
-    p_verify = sub.add_parser("verify", help="run the oracle verification gate")
-    common(p_verify)
-    p_verify.add_argument("--n", help="comma list of goods counts")
-    p_verify.add_argument("--sigma", help="comma list of diffusions")
-    p_verify.add_argument("--radius", help="comma list of stopping radii")
-    p_verify.add_argument("--grid-points", help="points per comparison grid")
-
-    p_cost = sub.add_parser("cost", help="expected optimal cost from a start radius")
-    common(p_cost)
-    p_cost.add_argument("--n", help="number of good types")
-    p_cost.add_argument("--sigma", help="diffusion coefficient")
-    p_cost.add_argument("--radius", help="stopping radius")
-    p_cost.add_argument("--r0", help="comma list of start radii (default 0)")
-
+        for flag, parse, default, help_text in rows:
+            # default None here, so _run can tell an absent flag
+            kind = {"action": "store_true"} if parse is _parse_bool else {}
+            if default is not None:
+                help_text = f"{help_text} (default {default})"
+            p.add_argument(flag, default=None, help=help_text, **kind)
     return parser
-
-
-def _effective(args, config: dict[str, str], key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
 
 
 def main(argv=None) -> int:
@@ -143,60 +141,51 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    # each option from its flag, else the config file, else its default
     config = _read_config(args.config)
-
-    def get(key, default=None):
-        return _effective(args, config, key, default)
-
-    out_dir = Path(get("out", "out"))
+    for flag, parse, default, _ in OPTIONS[args.command][1]:
+        key = flag[2:].replace("-", "_")
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        if isinstance(value, str):
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"bad {flag} {value!r}: {exc}") from None
+        setattr(args, key, value)
 
     if args.command == "rate":
-        n = int(get("n", 2))
-        sigma = float(get("sigma", 1.0))
-        if get("r") is not None:
-            grid = np.asarray([float(get("r"))])
-        elif get("r_grid") is not None:
-            grid = _parse_grid(get("r_grid"))
-        else:
-            raise SystemExit("rate: provide --r or --r-grid")
+        grid = args.r_grid if args.r is None else np.asarray([args.r])
+        if grid is None:
+            raise ValueError("provide --r or --r-grid")
         r_max = max(float(np.max(grid)), np.finfo(float).tiny)
-        params = ModelParams(n_goods=n, sigma=sigma, radius=r_max)
+        params = ModelParams(n_goods=args.n, sigma=args.sigma, radius=r_max)
         rate = build_rate(build_kernel(params, r_max=r_max))
-        if get("out") is not None:
-            write_rate_table(rate, grid, out_dir / "rate_table.csv")
+        if args.out is not None:
+            write_rate_table(rate, grid, args.out / "rate_table.csv")
         else:
             sys.stdout.write(rate_table_text(rate, grid))
         return 0
 
     if args.command == "sweep":
-        spec = SweepSpec(
-            n_list=tuple(_parse_ints(get("n", "2,10,100"))),
-            sigma_list=tuple(_parse_floats(get("sigma", "0.5,1,2"))),
-            r_grid=_parse_grid(get("r_grid", "0:4:81")),
-            output_dir=out_dir,
-        )
+        spec = SweepSpec(args.n, args.sigma, args.r_grid, args.out)
         sweep_rate(spec)
         print(f"wrote {spec.output_dir / 'rate_sweep.csv'}")
         return 0
 
     if args.command == "simulate":
-        n = int(get("n", 2))
-        sigma = float(get("sigma", 1.0))
-        radius = float(get("radius", 1.0))
-        dt = get("dt")
+        n, sigma, radius, dt = args.n, args.sigma, args.radius, args.dt
         if dt is None:  # 1e-4 * min(1, R^2/sigma^2), dividing only where R^2 < sigma^2
             dt = 1e-4 * (radius**2 / sigma**2 if radius**2 < sigma**2 else 1.0)
-        y0_text = get("y0")
-        y0 = np.asarray(_parse_floats(y0_text)) if y0_text else np.zeros(n)
-        cfg = SimConfig(
-            dt=float(dt),
-            max_steps=int(get("max_steps", 1_000_000)),
-            n_paths=int(get("paths", 1000)),
-            seed=int(get("seed", 42)),
-            y0=y0,
-        )
-        trace = _parse_bool("trace", get("trace", False))
-        result = run_simulate(n, sigma, radius, cfg, out_dir, trace=trace)
+            if dt == 0.0:  # refuse a bad or too small R or sigma as such first
+                simulation_params(n, sigma, radius)
+                raise ValueError(
+                    f"default dt underflows at R={radius!r}, sigma={sigma!r}: give --dt"
+                )
+        y0 = np.asarray(args.y0) if args.y0 else np.zeros(n)
+        cfg = SimConfig(dt=dt, max_steps=args.max_steps, n_paths=args.paths, seed=args.seed, y0=y0)
+        result = run_simulate(n, sigma, radius, cfg, args.out, trace=args.trace)
         print(
             f"mean={fmt(result['mean'])} stderr={fmt(result['stderr'])} "
             f"n_exited={result['n_exited']} -> {result['summary_csv']}"
@@ -204,31 +193,16 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        kwargs = {}
-        if get("n") is not None:
-            kwargs["n_list"] = tuple(_parse_ints(get("n")))
-        if get("sigma") is not None:
-            kwargs["sigma_list"] = tuple(_parse_floats(get("sigma")))
-        if get("radius") is not None:
-            kwargs["radius_list"] = tuple(_parse_floats(get("radius")))
-        if get("grid_points") is not None:
-            kwargs["grid_points"] = int(get("grid_points"))
-        return run_verify(out_dir, **kwargs)
+        return run_verify(args.out, args.n, args.sigma, args.radius, args.grid_points)
 
-    if args.command == "cost":
-        n = int(get("n", 2))
-        sigma = float(get("sigma", 1.0))
-        radius = float(get("radius", 1.0))
-        starts = _parse_floats(get("r0", "0"))
-        params = ModelParams(n_goods=n, sigma=sigma, radius=radius)
-        kernel = build_kernel(params, r_max=radius)
-        costs = [float(expected_optimal_cost(kernel, r0)) for r0 in starts]
-        print("r0,cost")
-        for r0, cost in zip(starts, costs):
-            print(f"{fmt(r0)},{fmt(cost)}")
-        return 0
-
-    raise SystemExit(f"unknown command {args.command!r}")
+    # cost
+    params = ModelParams(n_goods=args.n, sigma=args.sigma, radius=args.radius)
+    kernel = build_kernel(params, r_max=args.radius)
+    costs = [float(expected_optimal_cost(kernel, r0)) for r0 in args.r0]
+    print("r0,cost")
+    for r0, cost in zip(args.r0, costs):
+        print(f"{fmt(r0)},{fmt(cost)}")
+    return 0
 
 
 if __name__ == "__main__":

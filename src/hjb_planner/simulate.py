@@ -105,9 +105,10 @@ def _run_paths(
     do not depend on how the batch is chunked.
 
     Raises:
-        ValueError: if y0 does not have N components, or the rate's
-            certified range [0, r_max] stops short of the stopping radius;
-            both are checked once, before the first step.
+        ValueError: if y0 does not have N components, the rate's
+            certified range [0, r_max] stops short of the stopping radius,
+            or trace_stride < 1; all are checked once, before the first
+            step.
         RuntimeError: "simulation diverged" on a non-finite state.
     """
     params = rate.params
@@ -121,6 +122,8 @@ def _run_paths(
         raise ValueError(
             f"rate certified on [0, {rate.r_max}] stops short of the stopping radius {radius}"
         )
+    if not trace_stride >= 1:
+        raise ValueError(f"trace_stride must be >= 1, got {trace_stride!r}")
     dt = cfg.dt
     noise_scale = params.sigma * math.sqrt(dt)
 
@@ -207,7 +210,7 @@ def euler_path(
         cfg,
         np.asarray([path_index], dtype=np.uint64),
         n_traced=int(record_trace),
-        trace_stride=max(1, int(trace_stride)),
+        trace_stride=trace_stride,
     )
     return PathResult(
         tau=float(tau[0]),

@@ -28,7 +28,7 @@ from .oracles import (
     picard_step_bound,
     verify_exact_4d,
 )
-from .params import ModelParams, exact_int
+from .params import ModelParams
 from .rate import build_rate, rate_coeff
 from .series import build_kernel, eval_u
 from .simulate import (
@@ -52,14 +52,6 @@ EXACT4D_TOL = 1e-9
 PICARD_BOUND_SLACK = 1e-9  # relative quadrature slack on the factorial envelope
 
 
-def _goods_count(n) -> int:
-    """A sweep's N as an exact integer >= 1; 2.5 is refused, not truncated."""
-    count = exact_int("sweep N", n)
-    if count < 1:
-        raise ValueError(f"sweep N must be >= 1, got {n!r}")
-    return count
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes of a rate sweep: goods counts x diffusions x radii grid."""
@@ -70,19 +62,20 @@ class SweepSpec:
     output_dir: Path
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(_goods_count(n) for n in self.n_list))
-        object.__setattr__(self, "sigma_list", tuple(float(s) for s in self.sigma_list))
         object.__setattr__(self, "r_grid", np.asarray(self.r_grid, dtype=float))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if not self.n_list or not self.sigma_list or self.r_grid.size == 0:
             raise ValueError("sweep axes must be non-empty")
-        for s in self.sigma_list:
-            if not (math.isfinite(s) and s > 0.0):
-                raise ValueError(f"sweep sigma must be a positive finite real, got {s!r}")
         if np.any(self.r_grid < 0) or not np.all(np.isfinite(self.r_grid)):
             raise ValueError("r grid must be finite and nonnegative")
-        if float(np.max(self.r_grid)) <= 0.0:
+        r_max = float(np.max(self.r_grid))
+        if r_max <= 0.0:
             raise ValueError("r grid needs at least one positive radius")
+        # ModelParams accepts or refuses every cell's N and sigma; the axes
+        # keep its values, so 2.5 is refused, not truncated
+        cells = [[ModelParams(n, s, r_max) for s in self.sigma_list] for n in self.n_list]
+        object.__setattr__(self, "n_list", tuple(row[0].n_goods for row in cells))
+        object.__setattr__(self, "sigma_list", tuple(p.sigma for p in cells[0]))
 
 
 @dataclass(frozen=True)
@@ -173,28 +166,30 @@ def run_verify(
 
     Raises:
         ValueError: if an axis is empty, so no cell would be checked,
-            grid_points < 2, or ModelParams refuses a cell's N, sigma or
-            R; all before output_dir is created or any oracle runs.
+            grid_points < 2, ModelParams refuses a cell's N, sigma or R,
+            or a cell's kernel build is refused; all before output_dir is
+            created or any oracle runs.
     """
     if not (n_list and sigma_list and radius_list):
         raise ValueError("verify axes must be non-empty")
     if grid_points < 2:
         raise ValueError(f"verify grid_points must be >= 2, got {grid_points}")
-    # every cell is refused or accepted up front; reports render the raw axis values
-    axes = itertools.product(n_list, sigma_list, radius_list)
-    cells = [(n, s, radius, ModelParams(n, s, radius)) for n, s, radius in axes]
+    # every cell's parameters and kernel are refused or accepted up front;
+    # reports render the raw axis values
+    cells = []
+    for n, s, radius in itertools.product(n_list, sigma_list, radius_list):
+        params = ModelParams(n, s, radius)
+        grid = np.linspace(0.0, radius, grid_points)
+        cells.append((n, s, radius, params, grid, build_kernel(params, r_max=radius)))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    failures: list[str] = []
 
     eq_rows, failed_cells, envelope_rows = [], [], []
     # verify_bounds.csv by cell: its N,sigma,radius prefix is formatted once
     bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
     bound_failures: list[str] = []
     min_margin = math.inf
-    for n, s, radius, params in cells:
-        grid = np.linspace(0.0, radius, grid_points)
-        kernel = build_kernel(params, r_max=radius)
+    for n, s, radius, params, grid, kernel in cells:
         series_vals = np.atleast_1d(eval_u(kernel, grid))
         try:
             ode = ode_solve(params, radius, grid=grid)
@@ -233,20 +228,20 @@ def run_verify(
         ["N", "sigma", "radius", "reason"],
         [(*cell, csv_text(reason)) for *cell, reason in failed_cells],
     )
+    failures = len(failed_cells)
     for n, s, radius, reason in failed_cells:
         cell = f"N={n} sigma={s!r} R={radius!r}"
-        failures.append(f"equivalence cell {cell}")
         echo(f"equivalence: FAIL (cell {cell}: {reason})")
     # no equivalence rows only when every cell failed, reported above
     worst_eq = max((max(row[3:6]) for row in eq_rows), default=0.0)
     if not worst_eq <= EQUIVALENCE_TOL:
-        failures.append(f"equivalence (worst rel diff {worst_eq:.3e} > {EQUIVALENCE_TOL})")
+        failures += 1
         echo(f"equivalence: FAIL (worst pairwise rel diff {worst_eq:.3e})")
     elif not failed_cells:
         echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
 
     atomic_write_text(out / "verify_bounds.csv", "".join(bound_parts))
-    failures.extend(bound_failures)
+    failures += len(bound_failures)
     if bound_failures:
         echo(f"bounds: FAIL ({bound_failures[0]})")
     else:
@@ -262,7 +257,7 @@ def run_verify(
     if worst_exact <= EXACT4D_TOL:
         echo(f"exact-4d fixtures: PASS (max residual {worst_exact:.3e})")
     else:
-        failures.append(f"exact-4d fixtures (max residual {worst_exact:.3e})")
+        failures += 1
         echo(f"exact-4d fixtures: FAIL (max residual {worst_exact:.3e})")
 
     write_csv(
@@ -274,15 +269,25 @@ def run_verify(
     if over:
         n, s, radius, k, measured, bound = over[0]
         cell = f"cell N={n} sigma={s!r} R={radius!r} k={k}"
-        failures.append(f"picard factorial envelope ({cell})")
+        failures += 1
         echo(f"picard factorial envelope: FAIL ({cell}: {measured:.3e} > {bound:.3e})")
     elif envelope_rows:
         count = f"{len(envelope_rows)} iterations, {len(eq_rows)} cell(s)"
         echo(f"picard factorial envelope: PASS ({count})")
 
-    status = 0 if not failures else 1
-    echo(f"verify: {'PASS' if status == 0 else 'FAIL'} ({len(failures)} failing check(s))")
-    return status
+    echo(f"verify: {'FAIL' if failures else 'PASS'} ({failures} failing check(s))")
+    return 1 if failures else 0
+
+
+def simulation_params(n_goods: int, sigma: float, radius: float) -> ModelParams:
+    """ModelParams for a first-exit run.  A radius below sqrt of the
+    smallest normal double is refused: |y|^2 underflows there, so no path
+    could exit."""
+    params = ModelParams(n_goods=n_goods, sigma=sigma, radius=radius)
+    floor = math.sqrt(np.finfo(float).tiny)
+    if params.radius < floor:
+        raise ValueError(f"stopping radius {radius!r} is below {floor:.3e}: |y|^2 underflows")
+    return params
 
 
 def run_simulate(
@@ -302,15 +307,11 @@ def run_simulate(
     same pass that computes the Monte Carlo mean, so the plotted paths are
     the ones that entered it; the rate's range is checked once per batch.
     Every artifact is written atomically, and a refused input writes none:
-    output_dir is created with the first file.  A radius below sqrt of the
-    smallest normal double is refused: |y|^2 underflows there, so no path
-    could exit.
+    output_dir is created with the first file.  The model values are
+    checked by simulation_params.
     """
     out = Path(output_dir)
-    params = ModelParams(n_goods=n_goods, sigma=sigma, radius=radius)
-    floor = math.sqrt(np.finfo(float).tiny)
-    if params.radius < floor:
-        raise ValueError(f"stopping radius {radius!r} is below {floor:.3e}: |y|^2 underflows")
+    params = simulation_params(n_goods, sigma, radius)
     rate = build_rate(build_kernel(params, r_max=radius))
 
     # sample ~2000 points over a few noise-driven exit times (R^2/(N sigma^2)),

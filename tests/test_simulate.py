@@ -101,6 +101,17 @@ class TestEulerPath:
         assert np.linalg.norm(trace[-1, 1:3]) >= 1.0
         assert trace[-1, 0] == result.tau
 
+    @pytest.mark.parametrize("stride", [0, -5])
+    @pytest.mark.parametrize("entry", ["euler_path", "collect_costs"])
+    def test_stride_below_one_refused(self, std_rate, entry, stride):
+        # neither clamped to 1 nor used as a divisor
+        cfg = cfg_origin(n_paths=3)
+        with pytest.raises(ValueError, match=f"trace_stride must be >= 1, got {stride}"):
+            if entry == "euler_path":
+                euler_path(std_rate, cfg, 0, record_trace=True, trace_stride=stride)
+            else:
+                collect_costs(std_rate, cfg, 2, stride)
+
     def test_diverged_state_flagged(self, std_rate):
         bad_c = std_rate.c.copy()
         bad_c[1] = np.nan

@@ -13,6 +13,7 @@ import pytest
 
 import hjb_planner
 from hjb_planner import SweepSpec, oracles, run_simulate, run_verify, sweep, sweep_rate
+from hjb_planner import cli
 from hjb_planner.cli import main
 from hjb_planner.fileio import write_csv
 from hjb_planner.params import ModelParams
@@ -138,17 +139,17 @@ class TestSweep:
     def test_spec_rejects_bad_goods_counts(self, tmp_path, n):
         # refused at the boundary, not truncated by int() or left as an
         # empty cell
-        with pytest.raises(ValueError, match="sweep N .*got " + re.escape(repr(n))):
+        with pytest.raises(ValueError, match="n_goods must be .*got " + re.escape(repr(n))):
             SweepSpec(n_list=(2, n), sigma_list=(1.0,), r_grid=[1.0], output_dir=tmp_path)
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, 0.0, math.inf])
     def test_spec_rejects_bad_sigmas(self, tmp_path, sigma):
-        with pytest.raises(ValueError, match="sweep sigma .*got " + re.escape(repr(sigma))):
+        with pytest.raises(ValueError, match="sigma must be .*got " + re.escape(repr(sigma))):
             SweepSpec(n_list=(2,), sigma_list=(1.0, sigma), r_grid=[1.0], output_dir=tmp_path)
 
     @pytest.mark.parametrize("axis", [["--n", "0"], ["--sigma=-1,nan,0"]])
     def test_cli_bad_axis_writes_nothing(self, tmp_path, axis):
-        with pytest.raises(SystemExit, match="sweep (N|sigma) .*must"):
+        with pytest.raises(SystemExit, match="sweep: (n_goods|sigma) must"):
             main(["sweep", *axis, "--r-grid", "0:1:5", "--out", str(tmp_path)])
         assert not any(tmp_path.iterdir())
 
@@ -215,6 +216,7 @@ class TestRunVerify:
             ("n_list", (2, 0), "n_goods must be >= 1, got 0"),
             ("sigma_list", (1.0, -1.0), "sigma must be a positive finite real, got -1.0"),
             ("radius_list", (1.0, 0.0), "radius must be a positive finite real, got 0.0"),
+            ("sigma_list", (1.0, 1e-170), "exceeded for r_max=1.0, sigma=1e-170"),
         ],
     )
     def test_bad_cell_refused_before_any_work(self, tmp_path, monkeypatch, axis, values, reason):
@@ -406,7 +408,7 @@ class TestCli:
     def test_simulate_config_trace_rejects_unknown_word(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("paths=4\ntrace=maybe\n")
-        with pytest.raises(SystemExit, match="trace"):
+        with pytest.raises(SystemExit, match="hjb-planner simulate: bad --trace 'maybe'"):
             main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "s")])
         assert not (tmp_path / "s").exists()
 
@@ -489,7 +491,7 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["rate", "sweep"])
     def test_empty_r_grid_rejected(self, tmp_path, verb):
-        with pytest.raises(SystemExit, match="bad --r-grid '0:1:0'"):
+        with pytest.raises(SystemExit, match=f"hjb-planner {verb}: bad --r-grid '0:1:0'"):
             main([verb, "--r-grid", "0:1:0", "--out", str(tmp_path)])
 
     @pytest.mark.parametrize(
@@ -515,6 +517,16 @@ class TestCli:
               "--max-steps", "5"], "hjb-planner simulate: stopping radius 1e-170 is below"),
             (["simulate", "--radius", "1e-170", "--sigma", "1e-165"],
              "hjb-planner simulate: stopping radius 1e-170 is below"),
+            # the default dt underflows to 0: below the radius floor the
+            # floor refuses R, above it the line names R and sigma, not dt
+            (["simulate", "--radius", "1e-170"],
+             "hjb-planner simulate: stopping radius 1e-170 is below 1.492e-154"),
+            (["simulate", "--radius", "1e-150", "--sigma", "1e20"],
+             r"hjb-planner simulate: .*R=1e-150, sigma=1e\+20: give --dt"),
+            (["verify", "--n", "2", "--sigma", "1,1e-170", "--radius", "1"],
+             "hjb-planner verify: series truncation overflow: .*sigma=1e-170"),
+            (["sweep", "--r-grid", "bad"], "hjb-planner sweep: bad --r-grid 'bad'"),
+            (["rate", "--n", "2.5", "--r", "1"], "hjb-planner rate: bad --n '2.5'"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
@@ -525,8 +537,24 @@ class TestCli:
         assert not out.exists()
 
     def test_rate_requires_radius_argument(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="hjb-planner rate: provide --r or --r-grid"):
             main(["rate", "--n", "2", "--sigma", "1"])
+
+    def test_bad_config_line_is_one_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("paths=4\njunk\n")
+        with pytest.raises(SystemExit, match="hjb-planner simulate: bad config line .*'junk'"):
+            main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "s")])
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("verb", ["rate", "sweep", "simulate", "verify", "cost"])
+    def test_help_lists_every_default(self, capsys, verb):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, _, default, _ in cli.OPTIONS[verb][1]:
+            if default is not None:
+                assert f"{flag} " in text and f"(default {default})" in text
 
 
 def test_cli_import_loads_no_scipy():
