@@ -16,7 +16,7 @@ import numpy as np
 
 from .fileio import fmt
 from .params import ModelParams
-from .rate import build_rate, rate_table_text, write_rate_table
+from .rate import build_rate, rate_table_chunks, write_rate_table
 from .series import build_kernel, expected_optimal_cost
 from .simulate import SimConfig
 from .sweep import VERIFY_GRID_POINTS, VERIFY_N, VERIFY_RADIUS, VERIFY_SIGMA
@@ -99,17 +99,27 @@ OPTIONS = {
 }
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _read_config(path: str | None, keys) -> dict[str, str]:
+    """key=value lines of the config file at path; a file that cannot be
+    read, a line without "=" and a key outside keys are refused."""
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"bad --config {path!r}: {reason}") from None
     values: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line (want key=value): {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip().replace("-", "_")
+            if name not in keys:
+                raise ValueError(f"config key {key.strip()!r} in {path!r} names no option")
+            values[name] = value.strip()
     return values
 
 
@@ -142,9 +152,10 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     # each option from its flag, else the config file, else its default
-    config = _read_config(args.config)
-    for flag, parse, default, _ in OPTIONS[args.command][1]:
-        key = flag[2:].replace("-", "_")
+    rows = OPTIONS[args.command][1]
+    keys = [flag[2:].replace("-", "_") for flag, *_ in rows]
+    config = _read_config(args.config, keys)
+    for key, (flag, parse, default, _) in zip(keys, rows):
         value = getattr(args, key)
         if value is None:
             value = config.get(key, default)
@@ -165,7 +176,7 @@ def _run(args) -> int:
         if args.out is not None:
             write_rate_table(rate, grid, args.out / "rate_table.csv")
         else:
-            sys.stdout.write(rate_table_text(rate, grid))
+            sys.stdout.writelines(rate_table_chunks(rate, grid))
         return 0
 
     if args.command == "sweep":

@@ -1,10 +1,19 @@
-"""Deterministic text/CSV output helpers (atomic writes, 17-digit floats)."""
+"""Deterministic text/CSV output helpers (atomic writes, 17-digit floats).
+
+Every artifact goes through atomic_write_text, which takes the text whole
+or as an iterable of chunks and writes each chunk as it arrives.  Table
+writers hand it CHUNK_ROWS rows at a time, so a table costs one block of
+text in memory, not the whole table.
+"""
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+CHUNK_ROWS = 4096  # rows formatted into one block of text per write
 
 
 def fmt(value) -> str:
@@ -14,20 +23,27 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> Path:
-    """Write text to path via a temp file + rename so readers never see
-    a partial file."""
+def row_blocks(size: int) -> Iterator[slice]:
+    """Slices of CHUNK_ROWS rows that cover range(size) in order."""
+    return (slice(start, start + CHUNK_ROWS) for start in range(0, size, CHUNK_ROWS))
+
+
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Path:
+    """Write text, a str or an iterable of str chunks, to path via a temp
+    file + rename, so readers never see a partial file.  Each chunk is
+    written as it arrives; if the iterable raises, the temp file is removed
+    and an existing file at path is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -40,7 +56,13 @@ def csv_text(text: str) -> str:
 
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write rows as CSV with a fixed column order and 17-digit floats."""
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write rows as CSV with a fixed column order and 17-digit floats,
+    formatting CHUNK_ROWS rows per block."""
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        it = iter(rows)
+        while block := list(itertools.islice(it, CHUNK_ROWS)):
+            yield "".join([",".join([fmt(cell) for cell in row]) + "\n" for row in block])
+
+    return atomic_write_text(path, chunks())

@@ -22,11 +22,13 @@ unsynchronized concurrent use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, row_blocks
 from .params import ModelParams
 from .series import HORNER_X_MAX, SeriesKernel, _evaluate, _split_sums
 
@@ -143,14 +145,19 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def rate_table_text(rate: RateSeries, r_grid) -> str:
-    """(r, rho(r)) as CSV text with header ``r,rate`` and 17-digit floats."""
+def rate_table_chunks(rate: RateSeries, r_grid) -> Iterator[str]:
+    """(r, rho(r)) as CSV text with header ``r,rate`` and 17-digit floats,
+    in blocks of CHUNK_ROWS rows.  rho is evaluated over the whole grid
+    before the first block, so a refused radius raises here."""
     grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     values = np.atleast_1d(rate_coeff(rate, grid))
-    body = "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(grid.tolist(), values.tolist()))
-    return "r,rate\n" + body
+    blocks = (
+        "".join([f"{r:.17g},{v:.17g}\n" for r, v in zip(grid[b].tolist(), values[b].tolist())])
+        for b in row_blocks(grid.size)
+    )
+    return itertools.chain(["r,rate\n"], blocks)
 
 
 def write_rate_table(rate: RateSeries, r_grid, path) -> None:
-    """Export rate_table_text(rate, r_grid) to path."""
-    atomic_write_text(path, rate_table_text(rate, r_grid))
+    """Export rate_table_chunks(rate, r_grid) to path."""
+    atomic_write_text(path, rate_table_chunks(rate, r_grid))

@@ -287,6 +287,6 @@ def write_mc_summary(path, mean: float, stderr: float, n_exited: int, cfg: SimCo
 
 
 def write_trace(path, trace: np.ndarray, n_goods: int):
-    """Path-trace CSV: t,y_1,...,y_N,cost."""
+    """Path-trace CSV: t,y_1,...,y_N,cost, one row per row of trace."""
     header = ["t"] + [f"y_{i + 1}" for i in range(n_goods)] + ["cost"]
-    write_csv(path, header, [tuple(row) for row in trace])
+    write_csv(path, header, trace)

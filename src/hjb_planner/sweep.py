@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, csv_text, fmt, write_csv
+from .fileio import atomic_write_text, csv_text, fmt, row_blocks, write_csv
 from .oracles import (
     BoundViolation,
     check_bounds,
@@ -78,37 +78,45 @@ class SweepSpec:
         object.__setattr__(self, "sigma_list", tuple(p.sigma for p in cells[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """Rectangular sweep result, held by column: the radii shared by every
-    cell once, and one (N, sigma, rates) entry per cell in sweep order,
-    with rates None for a cell whose series build was refused."""
+    cell once, and one (N, sigma, rates) entry per cell in sweep order.
+    radii and each cell's rates are read-only float64 arrays; rates is
+    None for a cell whose series build was refused."""
 
-    radii: tuple
+    radii: np.ndarray
     cells: tuple
 
     @property
     def rows(self) -> tuple:
-        """(N, sigma, r, rate) per grid point, rate "" in a refused cell."""
+        """(N, sigma, r, rate) per grid point as Python floats, rate "" in a
+        refused cell."""
+        radii = self.radii.tolist()
         return tuple(
             (n, s, r, v)
             for n, s, rates in self.cells
-            for r, v in zip(self.radii, itertools.repeat("") if rates is None else rates)
+            for r, v in zip(radii, itertools.repeat("") if rates is None else rates.tolist())
         )
 
     def write(self, path) -> Path:
-        """rate_sweep.csv as write_csv would render rows: the radius column
-        and each cell's N,sigma prefix are formatted once, each rate once."""
-        radius_cells = [f"{r:.17g}," for r in self.radii]
-        parts = ["N,sigma,r,rate\n"]
-        for n, s, rates in self.cells:
-            prefix = f"{n},{s:.17g},"
-            if rates is None:
-                lines = [f"{prefix}{r}\n" for r in radius_cells]
-            else:
-                lines = [f"{prefix}{r}{v:.17g}\n" for r, v in zip(radius_cells, rates)]
-            parts.append("".join(lines))
-        return atomic_write_text(path, "".join(parts))
+        """rate_sweep.csv as write_csv would render rows, streamed in blocks
+        of CHUNK_ROWS rows: the radius column and each cell's N,sigma prefix
+        are formatted once, each rate once."""
+        radius_cells = [f"{r:.17g}," for r in self.radii.tolist()]
+
+        def chunks():
+            yield "N,sigma,r,rate\n"
+            for n, s, rates in self.cells:
+                prefix = f"{n},{s:.17g},"
+                for b in row_blocks(len(radius_cells)):
+                    if rates is None:
+                        yield "".join([f"{prefix}{r}\n" for r in radius_cells[b]])
+                    else:
+                        pairs = zip(radius_cells[b], rates[b].tolist())
+                        yield "".join([f"{prefix}{r}{v:.17g}\n" for r, v in pairs])
+
+        return atomic_write_text(path, chunks())
 
 
 def sweep_rate(spec: SweepSpec) -> SweepTable:
@@ -133,11 +141,14 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
             cells.append((n, s, None))
             continue
         values = np.atleast_1d(rate_coeff(build_rate(kernel), spec.r_grid))
-        cells.append((n, s, tuple(values.tolist())))
-    table = SweepTable(radii=tuple(spec.r_grid.tolist()), cells=tuple(cells))
+        values.flags.writeable = False
+        cells.append((n, s, values))
+    radii = spec.r_grid.copy()
+    radii.flags.writeable = False
+    table = SweepTable(radii=radii, cells=tuple(cells))
     table.write(spec.output_dir / "rate_sweep.csv")
     if notes:
-        atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", "".join(notes))
+        atomic_write_text(spec.output_dir / "rate_sweep_skipped.txt", notes)
     return table
 
 
@@ -240,7 +251,7 @@ def run_verify(
     elif not failed_cells:
         echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
 
-    atomic_write_text(out / "verify_bounds.csv", "".join(bound_parts))
+    atomic_write_text(out / "verify_bounds.csv", bound_parts)
     failures += len(bound_failures)
     if bound_failures:
         echo(f"bounds: FAIL ({bound_failures[0]})")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import hjb_planner
 from hjb_planner import SweepSpec, oracles, run_simulate, run_verify, sweep, sweep_rate
 from hjb_planner import cli
 from hjb_planner.cli import main
-from hjb_planner.fileio import write_csv
+from hjb_planner.fileio import CHUNK_ROWS, write_csv
 from hjb_planner.params import ModelParams
 from hjb_planner.rate import build_rate, rate_coeff
 from hjb_planner.series import HORNER_X_MAX, build_kernel
@@ -117,6 +118,24 @@ class TestSweep:
         columnar = (tmp_path / "rate_sweep.csv").read_bytes()
         assert columnar == (tmp_path / "rows.csv").read_bytes()
         assert table.write(tmp_path / "again.csv").read_bytes() == columnar
+
+    def test_write_memory_is_bounded_by_blocks(self, tmp_path):
+        # 6 cells x 16,385 points is 4 MB of CSV; streamed in blocks, the
+        # peak holds one block of text, the radius column's text and one
+        # float64 column per cell, where holding the table's text peaks
+        # near 17 MB
+        spec = SweepSpec((2, 10, 100), (0.5, 2.0), np.linspace(0.0, 4.0, 16385), tmp_path)
+        sweep_rate(spec)  # first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            table = sweep_rate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "rate_sweep.csv").stat().st_size > 3_900_000
+        assert peak < 4 * 2**20
+        for column in [table.radii, *(rates for _, _, rates in table.cells)]:
+            assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
         # only a refused build is a skipped cell; anything else is a bug
@@ -344,12 +363,14 @@ class TestCli:
         assert math.isfinite(rho) and rho >= 0.0
 
     def test_rate_stdout_equals_table_file(self, tmp_path, capsys):
-        argv = ["rate", "--n", "2", "--sigma", "1", "--r-grid", "0:4:65"]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-        assert printed == (tmp_path / "rate_table.csv").read_text()
-        assert printed.startswith("r,rate\n0,0\n") and printed.count("\n") == 66
+        # one block of rows, then a grid that spans three blocks
+        for steps in (65, 2 * CHUNK_ROWS + 3):
+            argv = ["rate", "--n", "2", "--sigma", "1", "--r-grid", f"0:4:{steps}"]
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            assert main([*argv, "--out", str(tmp_path / str(steps))]) == 0
+            assert printed == (tmp_path / str(steps) / "rate_table.csv").read_text()
+            assert printed.startswith("r,rate\n0,0\n") and printed.count("\n") == steps + 1
 
     def test_cost_boundary_is_zero(self, capsys):
         assert main(
@@ -545,6 +566,27 @@ class TestCli:
         cfg_file.write_text("paths=4\njunk\n")
         with pytest.raises(SystemExit, match="hjb-planner simulate: bad config line .*'junk'"):
             main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "s")])
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "config,reason",
+        [
+            ("none.cfg", r"bad --config '.*none\.cfg': No such file or directory"),
+            (".", r"bad --config '.*': Is a directory"),
+            ("paths=4\npath=3\n", r"config key 'path' in '.*run\.cfg' names no option"),
+            ("max-step=5\n", r"config key 'max-step' in '.*run\.cfg' names no option"),
+        ],
+        ids=["missing", "directory", "key-path", "key-max-step"],
+    )
+    def test_bad_config_file_is_one_line(self, tmp_path, capsys, config, reason):
+        # a file that cannot be read, or a key naming no option of the verb
+        path = tmp_path / config
+        if config.endswith("\n"):
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+        with pytest.raises(SystemExit, match="hjb-planner simulate: " + reason):
+            main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")])
+        assert capsys.readouterr().out == ""
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("verb", ["rate", "sweep", "simulate", "verify", "cost"])
