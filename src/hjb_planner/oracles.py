@@ -18,11 +18,13 @@ series evaluation:
 * ode_solve: direct integration of the second-order radial ODE with LSODA
   (Hindmarsh, ODEPACK, 1983; Petzold, SIAM J. Sci. Stat. Comput. 4, 1983),
   which switches between Adams and BDF steps as the stiffness demands;
-  usable wherever u itself stays inside double range.  It starts at a
-  radius r0 from a four-term local series built from the ODE's own
-  coefficient recurrence, so the integrator never steps through the
-  singular (N-1)/r stretch next to the origin; grid points inside r0 take
-  the series value.
+  usable wherever u itself stays inside double range.  scipy's odeint runs
+  the whole integration inside ODEPACK, entering Python only for the
+  right-hand side.  A four-term local series built from the ODE's own
+  coefficient recurrence fills the grid points up to a radius r0 and gives
+  the initial values at r0/2, where the integration starts, so the
+  integrator never steps through the singular (N-1)/r stretch next to the
+  origin.  A refusal by LSODA is raised as a RuntimeError naming it.
 
 * verify_exact_4d: two closed-form four-dimensional solutions
   exp(+-r^2/(2 sigma^2)) / r^2 whose ODE residual is algebraically zero,
@@ -45,6 +47,7 @@ package (and every CLI verb but verify) loads no scipy module.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +65,7 @@ _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
 _ODE_RTOL = 1e-13
+_ODE_MXSTEP = 1_000_000  # LSODA steps allowed between two output points
 _RICCATI_S0 = 1e-6  # start of the Riccati solve, in s = r/sigma
 _RICCATI_RTOL = 1e-12
 
@@ -266,18 +270,26 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
     where the first omitted term is at most 1e-18 relative for both u
     and u' (a_4 x^4 and 4 a_4 x^3 / a_1), capped at r_max/2 so at least
     half the range is integrated.  Grid points at r <= r0 take the series
-    value; the rest come from LSODA (Adams/BDF, switched automatically) on
-    (r0, r_max] at relative tolerance 1e-13; at 1e-12 the N=300 profile
-    drifts 3e-13 from the series, and at 1e-14 LSODA refuses.  nfev counts
+    value; the rest come from LSODA (Adams/BDF, switched automatically,
+    through scipy's odeint) at relative tolerance 1e-13, started from the
+    series at r0/2.  Starting below r0 keeps every output point clear of
+    the start, which LSODA refuses within rounding of it, and the series
+    is more accurate there still (its first omitted term scales as r^16).
+    At rtol 1e-12 the N=300 profile drifts 3e-13 from the series, and at
+    1e-14 LSODA refuses.  Up to 1,000,000 steps are allowed between two
+    output points, so a grid of 2 or 3 points is integrated, not refused
+    with "Excess work done" as under ODEPACK's default of 500.  nfev counts
     right-hand-side evaluations (0 when every grid point lies within r0)
     and series_points the grid points filled from the series.
 
     Raises:
         RuntimeError: "direct integration range exceeded" when the growth
             bound says u(r_max) would overflow double precision (use the
-            logarithmic-derivative route instead).
+            logarithmic-derivative route instead); "radial ODE integration
+            failed" naming LSODA's message when it refuses, in place of
+            odeint's ODEintWarning.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ODEintWarning, odeint
 
     r_max = float(r_max)
     n = params.n_goods
@@ -320,23 +332,25 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
     values[head], _ = local_series(grid[head])
     nfev = 0
     if not np.all(head):
-        u0, up0 = local_series(r0)
-        # solve_ivp, not odeint: odeint refuses an output point within
-        # rounding of r0 as illegal input, where solve_ivp interpolates
-        sol = solve_ivp(
-            rhs,
-            (r0, r_max),
-            [u0, up0],
-            method="LSODA",
-            rtol=_ODE_RTOL,
-            atol=1e-30,
-            t_eval=grid[~head],
-            dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError(f"radial ODE integration failed: {sol.message}")
-        values[~head] = sol.y[0]
-        nfev = int(sol.nfev)
+        r_start = 0.5 * r0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ODEintWarning)
+            y, info = odeint(
+                rhs,
+                local_series(r_start),
+                np.concatenate(([r_start], grid[~head])),
+                tfirst=True,
+                full_output=True,
+                rtol=_ODE_RTOL,
+                atol=1e-30,
+                mxstep=_ODE_MXSTEP,
+            )
+        for w in caught:  # a refusal raises; any other warning passes on
+            if issubclass(w.category, ODEintWarning):
+                raise RuntimeError(f"radial ODE integration failed: {info['message']}")
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        values[~head] = y[1:, 0]
+        nfev = int(info["nfe"][-1])
     return RadialGridFn(grid, values, nfev=nfev, series_points=int(np.count_nonzero(head)))
 
 

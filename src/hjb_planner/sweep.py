@@ -101,20 +101,21 @@ class SweepTable:
 
     def write(self, path) -> Path:
         """rate_sweep.csv as write_csv would render rows, streamed in blocks
-        of CHUNK_ROWS rows: the radius column and each cell's N,sigma prefix
-        are formatted once, each rate once."""
-        radius_cells = [f"{r:.17g}," for r in self.radii.tolist()]
+        of CHUNK_ROWS rows.  Only one block's text is live: each block is
+        one %-format of its (r, rate) pairs, with the cell's N,sigma prefix
+        in the row format."""
 
         def chunks():
             yield "N,sigma,r,rate\n"
             for n, s, rates in self.cells:
                 prefix = f"{n},{s:.17g},"
-                for b in row_blocks(len(radius_cells)):
+                for b in row_blocks(self.radii.size):
                     if rates is None:
-                        yield "".join([f"{prefix}{r}\n" for r in radius_cells[b]])
+                        radii = self.radii[b].tolist()
+                        yield (f"{prefix}%.17g,\n" * len(radii)) % tuple(radii)
                     else:
-                        pairs = zip(radius_cells[b], rates[b].tolist())
-                        yield "".join([f"{prefix}{r}{v:.17g}\n" for r, v in pairs])
+                        pairs = np.column_stack((self.radii[b], rates[b])).ravel().tolist()
+                        yield (f"{prefix}%.17g,%.17g\n" * (len(pairs) // 2)) % tuple(pairs)
 
         return atomic_write_text(path, chunks())
 

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from hjb_planner import ModelParams, build_kernel, build_rate
 
@@ -52,3 +54,18 @@ def corrupt():
         )
 
     return corrupt_kernel
+
+
+@pytest.fixture
+def refusing_odeint(monkeypatch):
+    """scipy.integrate.odeint replaced by one that refuses as ODEPACK does:
+    an ODEintWarning, then garbage values and the reason in its info.
+    Returns the reason."""
+    message = "stub: excess work done on this call"
+
+    def odeint(func, y0, t, **kwargs):
+        warnings.warn(f"{message} Run with full_output = 1.", scipy.integrate.ODEintWarning)
+        return np.full((len(t), len(y0)), np.nan), {"message": message, "nfe": np.zeros(len(t) - 1)}
+
+    monkeypatch.setattr(scipy.integrate, "odeint", odeint)
+    return message

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +24,29 @@ from hjb_planner import (
 from hjb_planner.oracles import quotient_coeffs, riccati_rate
 
 GRID = np.linspace(0.0, 1.0, 200)
+
+
+def _series_start(n, sigma):
+    """ode_solve's a_0..a_4 and its r0 below the r_max/2 cap:
+    a_j / a_(j-1) = 1/(j (N + 4j - 2)), and r0 is where a_4 x^4 and
+    4 a_4 x^3 / a_1 reach 1e-18."""
+    a = [1.0]
+    for j in range(1, 5):
+        a.append(a[-1] / (j * (n + 4 * j - 2)))
+    x0 = min((1e-18 / a[4]) ** 0.25, (1e-18 * a[1] / (4 * a[4])) ** (1 / 3))
+    return a, sigma * (4.0 * x0) ** 0.25
+
+
+def _assert_series_head(got, a, sigma, r0):
+    """Grid points up to r0 hold the four-term series; every value is
+    finite and the rest came from the integrator."""
+    head = got.r <= r0
+    assert got.series_points == np.count_nonzero(head)
+    x = got.r[head] ** 4 / (4.0 * sigma**4)
+    expected = a[0] + a[1] * x + a[2] * x**2 + a[3] * x**3
+    np.testing.assert_allclose(got.values[head], expected, rtol=4e-16, atol=0.0)
+    assert np.all(np.isfinite(got.values))
+    assert got.nfev > 0
 
 
 class TestPicard:
@@ -125,7 +149,7 @@ class TestOdeSolve:
         assert worst <= 5e-11
 
     def test_gate_cells_match_series_within_budget(self):
-        # the sigma=0.5, R=2 cells of every N, where LSODA takes 4,022
+        # the sigma=0.5, R=2 cells of every N, where LSODA takes 4,464
         # right-hand-side evaluations; the budget refuses an explicit
         # stepper such as DOP853, which needs about 24,800 here
         nfev = 0
@@ -138,6 +162,24 @@ class TestOdeSolve:
             nfev += got.nfev
         assert nfev < 8000
 
+    @pytest.mark.parametrize("grid_points", [2, 3])
+    def test_gate_cells_on_coarse_grids(self, grid_points):
+        # one or two output intervals span the whole range: at 2 points
+        # ODEPACK's default cap of 500 steps per interval refuses N=4 and 10
+        for n in (1, 2, 4, 10, 100):
+            params = ModelParams(n, 0.5, 2.0)
+            grid = np.linspace(0.0, 2.0, grid_points)
+            series = eval_u(build_kernel(params, r_max=2.0), grid)
+            got = ode_solve(params, 2.0, grid=grid)
+            assert max_rel_diff(got.values, series) <= 5e-11
+
+    def test_refusal_is_one_named_error_not_a_warning(self, refusing_odeint):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as excinfo:
+                ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
+        assert str(excinfo.value) == f"radial ODE integration failed: {refusing_odeint}"
+
     @pytest.mark.parametrize("n", [300, 1000])
     def test_large_n_matches_series(self, n):
         for sigma in (0.5, 1.0, 2.0):
@@ -149,24 +191,23 @@ class TestOdeSolve:
 
     @pytest.mark.parametrize("n,sigma", [(2, 1.0), (100, 0.5), (1000, 2.0)])
     def test_head_is_the_four_term_series(self, n, sigma):
-        # a_j / a_(j-1) = 1/(j (N + 4j - 2)); r0 is where a_4 x^4 and
-        # 4 a_4 x^3 / a_1 reach 1e-18, here below the r_max/2 cap
-        a = [1.0]
-        for j in range(1, 5):
-            a.append(a[-1] / (j * (n + 4 * j - 2)))
-        x0 = min((1e-18 / a[4]) ** 0.25, (1e-18 * a[1] / (4 * a[4])) ** (1 / 3))
-        r0 = sigma * (4.0 * x0) ** 0.25
+        a, r0 = _series_start(n, sigma)
         r_max = 4.0 * r0
         grid = np.concatenate([[0.0, 1e-300, 1e-150], np.linspace(r0 / 50, r_max, 200)])
         got = ode_solve(ModelParams(n, sigma, r_max), r_max, grid=grid)
-        head = grid <= r0
-        assert got.series_points == np.count_nonzero(head) > 3
-        x = grid[head] ** 4 / (4.0 * sigma**4)
-        expected = a[0] + a[1] * x + a[2] * x**2 + a[3] * x**3
-        np.testing.assert_allclose(got.values[head], expected, rtol=4e-16, atol=0.0)
+        _assert_series_head(got, a, sigma, r0)
+        assert got.series_points > 3
         assert got.values[1] == got.values[2] == 1.0
-        assert np.all(np.isfinite(got.values))
-        assert got.nfev > 0
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.0), (100, 0.5), (1000, 2.0)])
+    def test_point_one_ulp_past_the_series_start(self, n, sigma):
+        # LSODA refuses an output point within rounding of where it starts
+        a, r0 = _series_start(n, sigma)
+        r_max = 4.0 * r0
+        grid = np.array([0.0, 0.5 * r0, r0, np.nextafter(r0, np.inf), 2.0 * r0, r_max])
+        got = ode_solve(ModelParams(n, sigma, r_max), r_max, grid=grid)
+        _assert_series_head(got, a, sigma, r0)
+        assert got.series_points == 3
 
     def test_start_capped_at_half_range(self):
         # uncapped, the start radius here is about 0.8

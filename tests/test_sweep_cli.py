@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,29 @@ class TestCli:
         assert failed[2][3].startswith("Picard not converged after 10 iterations")
         equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
         assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
+
+    def test_verify_ode_refusal_is_one_line(self, tmp_path, capsys, refusing_odeint):
+        # the refusal arrives as an ODEintWarning; no warning may escape
+        # the cell, which fails in one line while every report is written
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_verify(
+                tmp_path, n_list=(2,), sigma_list=(1.0,), radius_list=(1.0,), grid_points=50
+            )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("equivalence")] == [
+            "equivalence: FAIL (cell N=2 sigma=1.0 R=1.0: radial ODE integration failed: "
+            f"{refusing_odeint})"
+        ]
+        assert lines[-1] == "verify: FAIL (1 failing check(s))"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "verify_bounds.csv",
+            "verify_equivalence.csv",
+            "verify_exact4d.csv",
+            "verify_failed_cells.csv",
+            "verify_picard_bound.csv",
+        ]
 
     def test_verify_picard_failure_is_reported_once(self, tmp_path, capsys, monkeypatch):
         # the cell (N=2, sigma=1, R=1) needs 5 Picard iterations; capped at
