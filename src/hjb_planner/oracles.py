@@ -8,11 +8,13 @@ series evaluation:
   discretized with composite trapezoid sums on refinements of the caller's
   grid.  The trapezoid error expands in even powers of the step (Linz,
   Analytical and Numerical Methods for Volterra Equations, SIAM 1985,
-  ch. 7), so one Richardson step on two adjacent refinement levels makes
-  the result fourth-order; levels are added until two successive
-  extrapolations agree.  The iterates increase pointwise and their
-  sup-differences, extrapolated the same way, obey the factorial envelope
-  (1/(k+1)!) (R^4/(4 sigma^4 (N+2)))^(k+1), which doubles as a
+  ch. 7), so two Romberg steps on three consecutive refinement levels
+  cancel its h^2 and h^4 terms; levels are added from L = 1 until two
+  successive extrapolations agree, which every cell of the verify
+  acceptance cross does at L = 4.  A level too coarse for the iteration to
+  converge is skipped before iterating.  The iterates increase pointwise
+  and their sup-differences, extrapolated the same way, obey the factorial
+  envelope (1/(k+1)!) (R^4/(4 sigma^4 (N+2)))^(k+1), which doubles as a
   convergence certificate.
 
 * ode_solve: direct integration of the second-order radial ODE with LSODA
@@ -61,6 +63,7 @@ MARGIN_FLOOR = -1e-12
 _PICARD_MAX_ITER = 200
 _PICARD_TOL = 1e-10  # sup-difference of successive iterates that stops a level
 _QUAD_SELF_CONSISTENCY = 1e-10
+_PICARD_MAX_CONTRACTION = 0.5  # spectral radius from which a level is too coarse to iterate
 _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
@@ -144,7 +147,11 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int):
     Returns the final iterate on t and the successive differences
     u_(k+1) - u_k of every iteration, restricted to every stride-th node
     (one row per iteration).  Iteration stops once the largest difference
-    over all of t falls below _PICARD_TOL.
+    over all of t falls below _PICARD_TOL.  Returns None, before
+    iterating, when t is too coarse for the iteration to converge: the
+    iteration operator is lower triangular, so its spectral radius is its
+    largest diagonal weight half_h[i-1] w_hi[i-1] t_i^(1-N) / sigma^4,
+    formed in log space and refused from _PICARD_MAX_CONTRACTION up.
     """
     n = params.n_goods
     inv_sigma4 = 1.0 / params.sigma**4
@@ -154,6 +161,10 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int):
     # origin keeps shift 0, where inner = 0 gives exp(-inf) = 0.
     shift = np.zeros_like(t)
     np.multiply(n - 1, np.log(t[1:]), out=shift[1:])
+    with np.errstate(divide="ignore"):  # an underflowed weight is ln 0 = -inf
+        log_diag = np.log(half_h) + np.log(w_hi) - shift[1:]
+    if not np.max(log_diag) - 4.0 * math.log(params.sigma) < math.log(_PICARD_MAX_CONTRACTION):
+        return None
 
     u = np.ones_like(t)
     u_next = np.ones_like(t)  # [0] stays 1
@@ -192,9 +203,13 @@ def _picard_once(params: ModelParams, t: np.ndarray, stride: int):
     )
 
 
-def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Cancel the h^2 term of a trapezoid result from grids h and 2h."""
-    return (4.0 * fine - coarse) / 3.0
+def _romberg(fine: np.ndarray, mid: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Cancel the h^2 and h^4 terms of a trapezoid result from grids h, 2h
+    and 4h: E = (4 fine - mid)/3 and (4 mid - coarse)/3, then
+    (16 E_fine - E_mid)/15."""
+    e_fine = (4.0 * fine - mid) / 3.0
+    e_mid = (4.0 * mid - coarse) / 3.0
+    return (16.0 * e_fine - e_mid) / 15.0
 
 
 def picard_solve(params: ModelParams, grid) -> RadialGridFn:
@@ -204,21 +219,28 @@ def picard_solve(params: ModelParams, grid) -> RadialGridFn:
     every grid interval into 2^L equal pieces.  On each level the iteration
     stops when the largest difference of successive iterates falls below
     1e-10 (or raises "Picard not converged" after 200 iterations).  The
-    trapezoid error expands in even powers of the step, so one Richardson
-    step on two adjacent levels, E_L = (4 U_L - U_(L-1))/3 on the caller's
-    grid, is fourth-order.  Levels are added from L = 2 until
-    max |E_L - E_(L-1)| / |E_L| < 1e-10 (first possible at L = 4);
-    E_L is returned, with the stopping level as refinement_level.
+    trapezoid error expands in even powers of the step, so two Romberg
+    steps on three consecutive levels cancel its h^2 and h^4 terms:
+    E_L = (4 U_L - U_(L-1))/3 and R_L = (16 E_L - E_(L-1))/15 on the
+    caller's grid.  Levels are added from L = 1 until
+    max |R_L - R_(L-1)| / |R_L| < 1e-10 (first possible at L = 4; every
+    cell of the verify acceptance cross stops there); R_L is returned, with
+    the stopping level as refinement_level.  A level too coarse for the
+    iteration to converge (its operator's spectral radius at least 1/2) is
+    skipped before iterating, and the three consecutive levels are counted
+    from the next one.
 
-    sup_diffs[k] is the maximum over the caller's grid of the same
-    extrapolation (4 D_k^L - D_k^(L-1))/3 of the k-th successive
-    differences D_k of the two levels; where level L ran more iterations
-    than level L-1, its own differences fill the rest.
+    sup_diffs[k] is the maximum over the caller's grid of the same Romberg
+    combination of the k-th successive differences of the three levels, up
+    to the shortest of their runs; the finest level's own differences fill
+    the rest.
 
     Raises:
         RuntimeError: "Picard quadrature refinement did not reach
             self-consistency", naming the smallest relative gap reached
-            and the last level tried.
+            and the last level tried; "Picard iteration cannot converge on
+            any refinement level" when every level up to the last is too
+            coarse.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -228,25 +250,37 @@ def picard_solve(params: ModelParams, grid) -> RadialGridFn:
             f"grid must stay within [0, radius={params.radius}], got largest point {grid[-1]}"
         )
 
-    prev_u = prev_steps = prev_e = None
+    levels: list = []  # (U_L, successive differences) of consecutive levels, finest last
+    prev_r = None
     best_gap = math.inf
-    for level in range(2, _MAX_REFINE_DOUBLINGS + 1):
+    for level in range(1, _MAX_REFINE_DOUBLINGS + 1):
         per = 1 << level
-        u_fine, steps = _picard_once(params, _refine(grid, per), per)
-        u = u_fine[::per]
-        if prev_u is not None:
-            e = _richardson(u, prev_u)
-            if prev_e is not None:
-                gap = float(np.max(np.abs(e - prev_e) / np.abs(e)))
-                best_gap = min(best_gap, gap)
-                if gap < _QUAD_SELF_CONSISTENCY:
-                    sup_diffs = [
-                        float(np.max(_richardson(fine, coarse)))
-                        for fine, coarse in zip(steps, prev_steps)
-                    ] + [float(np.max(d)) for d in steps[len(prev_steps):]]
-                    return RadialGridFn(grid, e, tuple(sup_diffs), level)
-            prev_e = e
-        prev_u, prev_steps = u, steps
+        run = _picard_once(params, _refine(grid, per), per)
+        if run is None:
+            levels, prev_r = [], None
+            continue
+        u_fine, steps = run
+        levels = [*levels[-2:], (u_fine[::per], steps)]
+        if len(levels) < 3:
+            continue
+        (u0, steps0), (u1, steps1), (u2, steps2) = levels
+        r = _romberg(u2, u1, u0)
+        if prev_r is not None:
+            gap = float(np.max(np.abs(r - prev_r) / np.abs(r)))
+            best_gap = min(best_gap, gap)
+            if gap < _QUAD_SELF_CONSISTENCY:
+                shortest = min(len(steps0), len(steps1), len(steps2))
+                sup_diffs = [
+                    float(np.max(_romberg(*d))) for d in zip(steps2, steps1, steps0)
+                ] + [float(np.max(d)) for d in steps2[shortest:]]
+                return RadialGridFn(grid, r, tuple(sup_diffs), level)
+        prev_r = r
+    if not levels:
+        raise RuntimeError(
+            "Picard iteration cannot converge on any refinement level through "
+            f"{_MAX_REFINE_DOUBLINGS}: the iteration's spectral radius on level "
+            f"{_MAX_REFINE_DOUBLINGS} is at least {_PICARD_MAX_CONTRACTION}"
+        )
     raise RuntimeError(
         "Picard quadrature refinement did not reach self-consistency "
         f"{_QUAD_SELF_CONSISTENCY:.1e}: best relative gap {best_gap:.3e}, "

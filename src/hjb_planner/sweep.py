@@ -197,7 +197,8 @@ def run_verify(
     out.mkdir(parents=True, exist_ok=True)
 
     eq_rows, failed_cells, envelope_rows = [], [], []
-    # verify_bounds.csv by cell: its N,sigma,radius prefix is formatted once
+    # verify_bounds.csv by cell: one %-format of its rows, with the N,sigma,radius
+    # prefix formatted once into the row format
     bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
     bound_failures: list[str] = []
     min_margin = math.inf
@@ -224,9 +225,9 @@ def run_verify(
         except BoundViolation as exc:
             report = exc.report
             bound_failures.append(str(exc))
-        prefix = f"{fmt(n)},{fmt(s)},{fmt(radius)},"
+        row = f"{fmt(n)},{fmt(s)},{fmt(radius)},%.17g,%s,%.17g\n"
         bound_parts.append(
-            "".join(f"{prefix}{r:.17g},{name},{m:.17g}\n" for r, name, m in report.rows)
+            (row * len(report.rows)) % tuple(itertools.chain.from_iterable(report.rows))
         )
         min_margin = min(min_margin, report.min_margin)
 

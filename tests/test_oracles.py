@@ -87,6 +87,33 @@ class TestPicard:
         assert got.refinement_level <= 8
         assert max_rel_diff(got.values, eval_u(build_kernel(p, r_max=2.0), grid)) < 1e-10
 
+    def test_verify_gate_cells_stop_at_level_4(self):
+        # two Romberg steps cancel the h^2 and h^4 terms, so levels 1-4
+        # settle every cell of the gate
+        grid = np.linspace(0.0, 2.0, 200)
+        for n in (1, 2, 4, 10, 100):
+            p = ModelParams(n, 0.5, 2.0)
+            got = picard_solve(p, grid)
+            assert got.refinement_level == 4
+            assert max_rel_diff(got.values, eval_u(build_kernel(p, r_max=2.0), grid)) < 1e-12
+
+    @pytest.mark.parametrize("grid_points", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 100])
+    def test_levels_too_coarse_to_converge_are_skipped(self, n, grid_points):
+        # at N=1 the first levels' largest diagonal weight is 11.3 and 3.4
+        # (2 points) or 3.4 and 0.92 (3 points): the iteration diverges or
+        # stalls there, so refinement starts on the first level below 1/2
+        p = ModelParams(n, 0.5, 2.0)
+        grid = np.linspace(0.0, 2.0, grid_points)
+        got = picard_solve(p, grid)
+        assert max_rel_diff(got.values, eval_u(build_kernel(p, r_max=2.0), grid)) < 1e-10
+
+    def test_every_level_too_coarse_is_refused(self):
+        # R/sigma = 200 on one interval: level 14's diagonal weight is still
+        # above 1/2, so no level is iterated
+        with pytest.raises(RuntimeError, match="cannot converge on any refinement level through 14"):
+            picard_solve(ModelParams(2, 0.005, 1.0), np.linspace(0.0, 1.0, 2))
+
     def test_refinement_failure_names_gap_and_level(self, monkeypatch):
         monkeypatch.setattr(oracles, "_QUAD_SELF_CONSISTENCY", 1e-30)
         with pytest.raises(RuntimeError, match="did not reach self-consistency") as info:

@@ -459,7 +459,7 @@ class TestCli:
             "equivalence: FAIL (cell N=2 sigma=0.1 R=2.0: direct integration range "
             "exceeded (u would overflow; use the logarithmic-derivative path))",
             "equivalence: FAIL (cell N=2 sigma=0.5 R=2.0: Picard not converged after 10 "
-            "iterations (achieved sup-difference 8.624e-02, tol 1.000e-10))",
+            "iterations (achieved sup-difference 9.489e-02, tol 1.000e-10))",
         ]
         assert lines[-1] == "verify: FAIL (2 failing check(s))"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
