@@ -36,14 +36,15 @@ series evaluation:
 Test-only references for rho = sigma^2 u'/(r u), sharing no code with the
 rate module: quotient_rate, the rate's own power series in x with
 coefficients from exact-rational Cauchy division (finite convergence
-radius, so small x only); and riccati_rate, BDF on the Riccati equation
-W' = s^2 - W^2 - (N-1) W/s for W = d ln u/ds, s = r/sigma, rho = W/s.
+radius, so small x only); and bessel_rate, the closed-form Bessel ratio
+I_((N+2)/4)(z) / I_((N-2)/4)(z), z = r^2/(2 sigma^2), by a backward
+recurrence between Amos's bounds that refuses if the bracket stays open.
 
 check_bounds sweeps the growth/slope/rate inequalities the kernel must
 satisfy and reports a signed relative margin per grid point.
 
-scipy is imported inside ode_solve and riccati_rate only, so importing the
-package (and every CLI verb but verify) loads no scipy module.
+scipy is imported inside ode_solve only, so importing the package (and
+every CLI verb but verify) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
 _ODE_RTOL = 1e-13
 _ODE_MXSTEP = 1_000_000  # LSODA steps allowed between two output points
-_RICCATI_S0 = 1e-6  # start of the Riccati solve, in s = r/sigma
-_RICCATI_RTOL = 1e-12
+_BESSEL_GAP = 1e-15  # widest relative bracket bessel_rate returns, a few ulp
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,41 +408,39 @@ def quotient_rate(params: ModelParams, r, order: int = 40) -> np.ndarray:
     return s**2 * np.polynomial.polynomial.polyval(s**4 / 4.0, c[1:])
 
 
-def riccati_rate(params: ModelParams, r) -> np.ndarray:
-    """rho = W(s)/s at increasing radii r >= 1e-6 sigma, W = d ln u/ds.
+def bessel_rate(params: ModelParams, r) -> np.ndarray:
+    """rho = I_((N+2)/4)(z) / I_((N-2)/4)(z), z = r^2/(2 sigma^2) (DLMF 10.29).
 
-    One BDF solve (rtol 1e-12, analytic Jacobian) of
-    W' = s^2 - W^2 - (N-1) W/s from W = s0^3/(N+2) at s0 = 1e-6,
-    reporting W straight at the requested points.
+    R_k = I_(k+1)/I_k obeys R_(k-1) = z / (2k + z R_k) (Gautschi, SIAM Rev.
+    9, 1967).  Two runs descend K = ceil(sqrt(40 z_max)) + 40 orders to
+    nu = (N-2)/4, one from each of Amos's bounds on R at nu + K (Math.
+    Comp. 28, 1974).  The map decreases in R_k, so the runs bracket rho at
+    every order; the midpoint is returned.  The z-multiplied form keeps a
+    subnormal rate above 0, and r = 0 gives exactly 0.
 
     Raises:
-        RuntimeError: "logarithmic-derivative integration failed", naming
-            the solver's message.
+        ValueError: for a negative or non-finite radius.
+        RuntimeError: "Bessel ratio bracket did not close" when the final
+            bracket is wider than _BESSEL_GAP relative.
     """
-    from scipy.integrate import solve_ivp
-
-    s = np.asarray(r, dtype=float) / params.sigma
-    n_minus_1 = float(params.n_goods - 1)
-
-    def rhs(s, w):
-        return s * s - w * w - n_minus_1 * w / s
-
-    def jac(s, w):
-        return np.array([[-2.0 * w[0] - n_minus_1 / s]])
-
-    sol = solve_ivp(
-        rhs,
-        (_RICCATI_S0, s[-1]),
-        [_RICCATI_S0**3 / (params.n_goods + 2)],
-        method="BDF",
-        jac=jac,
-        t_eval=s,
-        rtol=_RICCATI_RTOL,
-        atol=0.0,
-    )
-    if not sol.success:
-        raise RuntimeError(f"logarithmic-derivative integration failed: {sol.message}")
-    return sol.y[0] / s
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise ValueError("bessel_rate needs finite radii r >= 0")
+    z = (r / params.sigma) ** 2 / 2.0
+    nu = (params.n_goods - 2) / 4.0
+    top = math.ceil(math.sqrt(40.0 * float(z.max(initial=0.0)))) + 40
+    mu = nu + top
+    lo = z / (mu + 0.5 + np.sqrt(z * z + (mu + 1.5) ** 2))
+    hi = z / (mu + 0.5 + np.sqrt(z * z + (mu + 0.5) ** 2))
+    for k in range(top, 0, -1):
+        lo, hi = z / (2.0 * (nu + k) + z * lo), z / (2.0 * (nu + k) + z * hi)
+    mid = 0.5 * (lo + hi)
+    width = np.abs(hi - lo) / np.maximum(mid, np.finfo(float).tiny)
+    if np.any(width > _BESSEL_GAP):
+        raise RuntimeError(
+            f"Bessel ratio bracket did not close: relative width {np.max(width):.3e}"
+        )
+    return mid
 
 
 def verify_exact_4d(sigma: float, which: str, grid) -> float:

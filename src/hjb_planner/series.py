@@ -21,8 +21,8 @@ evaluates them, split at x = HORNER_X_MAX:
 * x <= HORNER_X_MAX: the terms decay from the first, and one in-place
   Horner pass gives t = A - 1 = x (a_1 + a_2 x + ...) and B.  Because
   a_0 is exactly 1, t + 1.0 is bit for bit the Horner value of A, and
-  ln u = log1p(t) keeps full relative precision as r -> 0, where a plain
-  ln(A) would round to 0.
+  ln u = log1p(t) stays above 0 as r -> 0, where a plain ln(A) would round
+  to 0.  Its relative error there is the truncation's (see build_kernel).
 * beyond: A and B overflow double precision long before the certified
   range ends, so the sums are taken over weights normalized in log space,
   w_j = exp(ln a_j + j ln x - m) with m = max_k (ln a_k + k ln x), giving
@@ -94,7 +94,9 @@ def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKerne
 
     The order J is the smallest with term_{J+1}(x_max) < 1e-15 * partial
     sum once the terms have passed their hump, evaluated at
-    x_max = r_max^4 / (4 sigma^4).
+    x_max = r_max^4 / (4 sigma^4).  The partial sum is A ~ 1, so ln u and
+    rho, both ~ x/(N+2), keep only about 1e-15 (J+1)(N+2)/x_max relative:
+    rho is 1.5e-8 off at N=100, r_max = 0.05 sigma.
 
     Raises:
         ValueError: if r_max < params.radius, or the required order exceeds
@@ -146,8 +148,7 @@ def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKerne
 def _horner(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t = A(x) - 1 = x * Horner(a_1..a_J) and B(x) = Horner(b_1..b_J) by
     in-place Horner; x is only read.  a_0 is exactly 1, so t + 1.0 is bit
-    for bit polyval(x, a), and log1p(t) is ln A to full relative
-    precision."""
+    for bit polyval(x, a), and log1p(t) is ln A with no rounding of 1 + t."""
     t = np.full(x.shape, a[-1])
     bsum = np.full(x.shape, b[-1])
     for aj, bj in zip(a[-2:0:-1], b[-2:0:-1]):
@@ -263,8 +264,8 @@ def _exp_of(log_far):
 def eval_log_u(kernel: SeriesKernel, r) -> float | np.ndarray:
     """ln u(r): log1p(A - 1) in the Horner range, m + ln sum_j w_j beyond.
 
-    Finite for every certified radius, and accurate to relative precision
-    down to r -> 0, where ln u ~ x/(N+2).
+    Finite for every certified radius and above 0 as r -> 0, where
+    ln u ~ x/(N+2) keeps only build_kernel's truncation accuracy.
     """
     return _kernel_eval(kernel, r, lambda r, s, t, b: np.log1p(t), _log_u_far)
 

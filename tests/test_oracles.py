@@ -2,11 +2,9 @@ import dataclasses
 import math
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from hjb_planner import (
     BoundViolation,
@@ -21,7 +19,7 @@ from hjb_planner import (
     picard_step_bound,
     verify_exact_4d,
 )
-from hjb_planner.oracles import quotient_coeffs, riccati_rate
+from hjb_planner.oracles import bessel_rate, quotient_coeffs
 
 GRID = np.linspace(0.0, 1.0, 200)
 
@@ -438,13 +436,32 @@ class TestQuotientCoefficients:
             assert abs(residual) <= 1e-13 * scale
 
 
-def test_solver_failure_raises_with_its_message(monkeypatch, wide_params):
-    def failing_solve_ivp(*args, **kwargs):
-        return SimpleNamespace(success=False, message="stub: step size too small")
+class TestBesselRate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 100])
+    def test_origin_is_exactly_zero(self, n):
+        # at N=1 the denominator I_(-1/4)(z) is infinite at z = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = bessel_rate(ModelParams(n, 1.0, 1.0), np.array([0.0, 0.5]))
+        assert rho[0] == 0.0 and rho[1] > 0.0
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing_solve_ivp)
-    with pytest.raises(
-        RuntimeError,
-        match="logarithmic-derivative integration failed: stub: step size too small",
-    ):
-        riccati_rate(wide_params, np.linspace(1.0, 20.0, 5))
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_subnormal_rates_stay_above_zero(self, n):
+        # z = s^2/2 from 5e-321 up: rho ~ s^2/(N+2) is subnormal, where a
+        # recurrence in the form 1/(2k/z + R_k) overflows and returns 0
+        sigma = 0.5
+        r = sigma * np.array([1e-160, 3e-158, 1e-156, 1e-154])
+        rho = bessel_rate(ModelParams(n, sigma, 1.0), r)
+        lead = (r / sigma) ** 2 / (n + 2)
+        assert np.all(rho > 0.0)
+        assert np.all(np.abs(rho - lead) <= 1e-15 * lead + 2e-323)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.inf])
+    def test_bad_radius_refused(self, bad):
+        with pytest.raises(ValueError, match="finite radii r >= 0"):
+            bessel_rate(ModelParams(2, 1.0, 1.0), np.array([0.5, bad]))
+
+    def test_open_bracket_refused(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_BESSEL_GAP", -1.0)
+        with pytest.raises(RuntimeError, match="Bessel ratio bracket did not close"):
+            bessel_rate(ModelParams(2, 1.0, 1.0), np.array([0.5, 1.0]))
