@@ -15,7 +15,6 @@ from .oracles import (
 )
 from .params import ModelParams
 from .rate import (
-    RateSeries,
     build_rate,
     envelope,
     feedback,
@@ -42,7 +41,6 @@ __all__ = [
     "ModelParams",
     "PathResult",
     "RadialGridFn",
-    "RateSeries",
     "SeriesKernel",
     "SimConfig",
     "SweepSpec",

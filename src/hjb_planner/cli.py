@@ -34,8 +34,16 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _parse_list(kind):
-    """The parse of a comma list of kind values, such as 2,10,100 for int."""
-    return lambda text: tuple(kind(tok) for tok in text.split(",") if tok.strip())
+    """The parse of a comma list of kind values, such as 2,10,100 for int;
+    a list with no values is refused."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError("want at least one value")
+        return values
+
+    return parse
 
 
 _BOOLEANS = {

@@ -23,70 +23,44 @@ unsynchronized concurrent use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .fileio import atomic_write_text, row_blocks
 from .params import ModelParams
-from .series import HORNER_X_MAX, SeriesKernel, _evaluate, _split_sums
+from .series import SeriesKernel, _kernel_eval, _split_sums
 
 
-@dataclass(frozen=True, eq=False)
-class RateSeries:
-    """The kernel's a_j (c), j a_j (b) and ln a_j (log_a), bound for
-    evaluating rho on [0, r_max]; x_switch is the Horner/log-space split in
-    x.  riccati_r is always empty, kept only for perfbench/layers.py, which
-    counts the nodes of the retired Riccati table."""
-
-    params: ModelParams
-    c: np.ndarray
-    b: np.ndarray
-    log_a: np.ndarray
-    x_switch: float
-    riccati_r: np.ndarray
-    r_max: float
+def build_rate(kernel: SeriesKernel) -> SeriesKernel:
+    """The kernel itself: rho is one more kernel quantity.  Kept as a
+    name perfbench/layers.py wraps."""
+    return kernel
 
 
-def build_rate(kernel: SeriesKernel) -> RateSeries:
-    """Bind a kernel's coefficient arrays for rate evaluation; computes nothing."""
-    return RateSeries(
-        params=kernel.params,
-        c=kernel._a,
-        b=kernel._b,
-        log_a=kernel.log_a,
-        x_switch=HORNER_X_MAX,
-        riccati_r=np.empty(0),
-        r_max=kernel.r_max,
-    )
-
-
-def rate_coeff(rate: RateSeries, r) -> float | np.ndarray:
+def rate_coeff(kernel: SeriesKernel, r) -> float | np.ndarray:
     """rho(r) = sigma^2 u'(r) / (r u(r)) = s^2 B(x)/A(x), with rho(0) = 0.
 
     Evaluated on the kernel-sum core of the series module: in-place Horner
-    for x = s^4/4 <= x_switch, bit for bit
-    ``s**2 * npoly.polyval(x, b[1:]) / npoly.polyval(x, c)``, and
+    for x = s^4/4 <= HORNER_X_MAX, bit for bit
+    ``s**2 * npoly.polyval(x, kernel.b[1:]) / npoly.polyval(x, kernel.c)``, and
     (4/s^2) sum_j j w_j / sum_j w_j beyond.  Nondecreasing in r and bounded
     by 1 on the certified range.  Validation is one min/max pair, then the
     same core as _rho_unchecked; the log-space branch runs only when x at
-    the largest r exceeds x_switch.
+    the largest r exceeds HORNER_X_MAX.
 
     Raises:
         ValueError: "evaluation outside certified range" for r outside
             [0, r_max] (or non-finite r).
     """
-    return _evaluate(
-        rate.c, rate.b, rate.log_a, rate.params.sigma, rate.r_max, r, _rho_near, _rho_far
-    )
+    return _kernel_eval(kernel, r, _rho_near, _rho_far)
 
 
-def _rho_unchecked(rate: RateSeries, r: np.ndarray) -> np.ndarray:
+def _rho_unchecked(kernel: SeriesKernel, r: np.ndarray) -> np.ndarray:
     """rate_coeff's core without its range check, bit for bit: r must be a
     non-empty 1-d float array already known to lie in [0, r_max].  The
     Euler loop calls this on every step after checking r_max >= R once."""
-    return _split_sums(rate.c, rate.b, rate.log_a, rate.params.sigma, r, _rho_near, _rho_far)
+    return _split_sums(kernel, r, _rho_near, _rho_far)
 
 
 def _rho_near(r, s, t, b):
@@ -105,7 +79,7 @@ def _rho_far(r, s, m, s0, s1):
     return s1
 
 
-def feedback(rate: RateSeries, y) -> np.ndarray:
+def feedback(kernel: SeriesKernel, y) -> np.ndarray:
     """Vector control p with p_i = rho(|y|) y_i; the zero vector when y = 0.
 
     Raises:
@@ -113,16 +87,16 @@ def feedback(rate: RateSeries, y) -> np.ndarray:
             a state of the wrong dimension.
     """
     y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim != 1 or y_arr.shape[0] != rate.params.n_goods:
+    if y_arr.ndim != 1 or y_arr.shape[0] != kernel.params.n_goods:
         raise ValueError(
-            f"invalid inventory state: expected {rate.params.n_goods} components"
+            f"invalid inventory state: expected {kernel.params.n_goods} components"
         )
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("invalid inventory state: non-finite components")
     r = float(np.linalg.norm(y_arr))
     if r == 0.0:
         return np.zeros_like(y_arr)
-    return rate_coeff(rate, r) * y_arr
+    return rate_coeff(kernel, r) * y_arr
 
 
 def envelope(params: ModelParams, r) -> float | np.ndarray:
@@ -145,12 +119,12 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def rate_table_chunks(rate: RateSeries, r_grid) -> Iterator[str]:
+def rate_table_chunks(kernel: SeriesKernel, r_grid) -> Iterator[str]:
     """(r, rho(r)) as CSV text with header ``r,rate`` and 17-digit floats,
     in blocks of CHUNK_ROWS rows.  rho is evaluated over the whole grid
     before the first block, so a refused radius raises here."""
     grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    values = np.atleast_1d(rate_coeff(rate, grid))
+    values = np.atleast_1d(rate_coeff(kernel, grid))
     blocks = (
         "".join([f"{r:.17g},{v:.17g}\n" for r, v in zip(grid[b].tolist(), values[b].tolist())])
         for b in row_blocks(grid.size)
@@ -158,6 +132,6 @@ def rate_table_chunks(rate: RateSeries, r_grid) -> Iterator[str]:
     return itertools.chain(["r,rate\n"], blocks)
 
 
-def write_rate_table(rate: RateSeries, r_grid, path) -> None:
-    """Export rate_table_chunks(rate, r_grid) to path."""
-    atomic_write_text(path, rate_table_chunks(rate, r_grid))
+def write_rate_table(kernel: SeriesKernel, r_grid, path) -> None:
+    """Export rate_table_chunks(kernel, r_grid) to path."""
+    atomic_write_text(path, rate_table_chunks(kernel, r_grid))

@@ -29,9 +29,9 @@ evaluates them, split at x = HORNER_X_MAX:
   A = e^m sum_j w_j and x B = e^m sum_j j w_j; ln x = 4 ln s - ln 4 is
   formed once per point.
 
-Coefficients are stored both linearly (for Horner) and as logarithms (the
-ratio a_j/a_{j-1} = 1/(j(N+4j-2)) makes the log recurrence exact).  The
-production path uses numpy only.
+Coefficients are stored as logarithms (the ratio a_j/a_{j-1} =
+1/(j(N+4j-2)) makes the log recurrence exact); the kernel derives the
+linear ones Horner needs from them.  The production path uses numpy only.
 
 The expected accumulated quadratic cost of the optimally controlled
 inventory, started at |y| = r0 and stopped at |y| = R, is
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,7 +72,9 @@ _LN4 = math.log(4.0)
 class SeriesKernel:
     """Truncated representation of u(r) and u'(r).
 
-    log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0).
+    log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0); c
+    (a_j) and b (j a_j), the Horner branch's linear coefficients, are
+    derived from it, so a kernel never holds two disagreeing copies.
     Evaluations are certified on [0, r_max]: the truncation order was chosen
     so the first omitted term at r_max is below _TERM_TOL = 1e-15 times the
     partial sum.  Instances are immutable and all evaluation functions are
@@ -80,13 +83,23 @@ class SeriesKernel:
 
     params: ModelParams
     log_a: np.ndarray
-    truncation_order: int
     r_max: float
-    # Linear-space coefficients for the Horner branch (a_j and j*a_j);
-    # entries that underflow to 0.0 are beyond double precision anyway for
-    # x <= 1.
-    _a: np.ndarray = field(repr=False, default=None)
-    _b: np.ndarray = field(repr=False, default=None)
+    # entries of c and b that underflow to 0.0 are beyond double precision
+    # anyway for x <= 1
+    c: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    # read by perfbench/layers.py only
+    x_switch: ClassVar[float] = HORNER_X_MAX
+    riccati_r: ClassVar[np.ndarray] = np.empty(0)
+
+    def __post_init__(self) -> None:
+        c = np.exp(self.log_a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "b", c * np.arange(c.size))
+
+    @property
+    def truncation_order(self) -> int:
+        return self.log_a.size - 1
 
 
 def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKernel:
@@ -113,7 +126,6 @@ def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKerne
 
     log_a = [0.0]
     log_sum = 0.0  # ln of the partial sum at x_max
-    prev_term = math.inf
     j = 1
     while True:
         if j > _TRUNCATION_CAP:
@@ -124,25 +136,15 @@ def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKerne
             )
         cand = log_a[j - 1] - math.log(j) - math.log(n + 4 * j - 2)
         term = cand + j * log_x
-        past_hump = term < prev_term
-        if j > 1 and past_hump and term - log_sum < log_tol:
+        # before the terms' single peak T_j >= every earlier term, so
+        # T_j / sum_(i<j) T_i >= 1/j > 1e-15 and this cannot pass there
+        if j > 1 and term - log_sum < log_tol:
             break
         log_a.append(cand)
         log_sum = np.logaddexp(log_sum, term)
-        prev_term = term
         j += 1
 
-    log_a_arr = np.asarray(log_a, dtype=float)
-    a = np.exp(log_a_arr)
-    b = a * np.arange(len(log_a_arr))
-    return SeriesKernel(
-        params=params,
-        log_a=log_a_arr,
-        truncation_order=len(log_a_arr) - 1,
-        r_max=r_max,
-        _a=a,
-        _b=b,
-    )
+    return SeriesKernel(params=params, log_a=np.asarray(log_a, dtype=float), r_max=r_max)
 
 
 def _horner(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +186,7 @@ def _log_sums(log_a: np.ndarray, log_x: np.ndarray):
     return m, s0, s1
 
 
-def _evaluate(a, b, log_a, sigma: float, r_max: float, r, near, far):
+def _kernel_eval(kernel: SeriesKernel, r, near, far):
     """One kernel quantity at radii r: the boundary checks (one min/max
     pair), then the unchecked core _split_sums.  Returns a float for
     scalar r.
@@ -202,14 +204,14 @@ def _evaluate(a, b, log_a, sigma: float, r_max: float, r, near, far):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = hi if math.isfinite(lo) else lo
         raise ValueError(f"evaluation outside certified range (non-finite r = {bad!r})")
-    if lo < 0.0 or hi > r_max:
+    if lo < 0.0 or hi > kernel.r_max:
         bad = lo if lo < 0.0 else hi
-        raise ValueError(f"evaluation outside certified range [0, {r_max}]: r = {bad!r}")
-    out = _split_sums(a, b, log_a, sigma, arr, near, far)
+        raise ValueError(f"evaluation outside certified range [0, {kernel.r_max}]: r = {bad!r}")
+    out = _split_sums(kernel, arr, near, far)
     return float(out[0]) if scalar else out
 
 
-def _split_sums(a, b, log_a, sigma: float, r: np.ndarray, near, far) -> np.ndarray:
+def _split_sums(kernel: SeriesKernel, r: np.ndarray, near, far) -> np.ndarray:
     """The unchecked core: one kernel quantity at a non-empty 1-d array of
     radii already known to lie in [0, r_max].
 
@@ -219,26 +221,20 @@ def _split_sums(a, b, log_a, sigma: float, r: np.ndarray, near, far) -> np.ndarr
     which can be the caller's own array.  The log-space branch runs only
     when the largest x exceeds the split.
     """
-    s = r / sigma
+    s = r / kernel.params.sigma
     x = np.power(s, 4.0)
     x /= 4.0
     if x.max() <= HORNER_X_MAX:
-        return near(r, s, *_horner(a, b, x))
+        return near(r, s, *_horner(kernel.c, kernel.b, x))
     out = np.empty(r.shape)
     inside = x <= HORNER_X_MAX
     if inside.any():
-        out[inside] = near(r[inside], s[inside], *_horner(a, b, x[inside]))
+        out[inside] = near(r[inside], s[inside], *_horner(kernel.c, kernel.b, x[inside]))
     beyond = ~inside
     s_far = s[beyond]
     log_x = 4.0 * np.log(s_far) - _LN4
-    out[beyond] = far(r[beyond], s_far, *_log_sums(log_a, log_x))
+    out[beyond] = far(r[beyond], s_far, *_log_sums(kernel.log_a, log_x))
     return out
-
-
-def _kernel_eval(kernel: SeriesKernel, r, near, far):
-    return _evaluate(
-        kernel._a, kernel._b, kernel.log_a, kernel.params.sigma, kernel.r_max, r, near, far
-    )
 
 
 def _log_u_far(r, s, m, s0, s1):

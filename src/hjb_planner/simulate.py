@@ -29,9 +29,10 @@ import numpy as np
 
 from .fileio import write_csv
 from .params import exact_int
-from .rate import RateSeries, _rho_unchecked
+from .rate import _rho_unchecked
 from .rate import rate_coeff  # unused here; perfbench/layers.py wraps it by name
 from .rng import normals
+from .series import SeriesKernel
 
 _CHUNK = 65536
 # Philox blocks (two normals each) per noise draw: a batch draws
@@ -88,7 +89,7 @@ class PathResult:
 
 
 def _run_paths(
-    rate: RateSeries,
+    kernel: SeriesKernel,
     cfg: SimConfig,
     path_indices: np.ndarray,
     n_traced: int = 0,
@@ -111,16 +112,16 @@ def _run_paths(
             step.
         RuntimeError: "simulation diverged" on a non-finite state.
     """
-    params = rate.params
+    params = kernel.params
     n = params.n_goods
     if cfg.y0.shape[0] != n:
         raise ValueError(
             f"y0 has {cfg.y0.shape[0]} components but the rate was built for {n} goods"
         )
     radius = params.radius
-    if not rate.r_max >= radius:
+    if not kernel.r_max >= radius:
         raise ValueError(
-            f"rate certified on [0, {rate.r_max}] stops short of the stopping radius {radius}"
+            f"rate certified on [0, {kernel.r_max}] stops short of the stopping radius {radius}"
         )
     if not trace_stride >= 1:
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride!r}")
@@ -171,7 +172,7 @@ def _run_paths(
             pos, y, cost, r, block = pos[keep], y[keep], cost[keep], r[keep], block[keep]
             if pos.size == 0:
                 break
-        rho = _rho_unchecked(rate, r)
+        rho = _rho_unchecked(kernel, r)
         cost += (rho * rho + 1.0) * r * r * dt
         if block.shape[1] == 0:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
@@ -196,7 +197,7 @@ def _run_paths(
 
 
 def euler_path(
-    rate: RateSeries,
+    kernel: SeriesKernel,
     cfg: SimConfig,
     path_index: int,
     record_trace: bool = False,
@@ -206,7 +207,7 @@ def euler_path(
     if path_index < 0 or path_index >= 2**64:
         raise ValueError("path_index must be a nonnegative 64-bit integer")
     tau, cost, exited, y_final, traces = _run_paths(
-        rate,
+        kernel,
         cfg,
         np.asarray([path_index], dtype=np.uint64),
         n_traced=int(record_trace),
@@ -222,7 +223,7 @@ def euler_path(
 
 
 def collect_costs(
-    rate: RateSeries,
+    kernel: SeriesKernel,
     cfg: SimConfig,
     n_traced: int = 0,
     trace_stride: int = 1,
@@ -237,7 +238,7 @@ def collect_costs(
         stop = min(start + _CHUNK, cfg.n_paths)
         idx = np.arange(start, stop, dtype=np.uint64)
         _, chunk_cost, chunk_exited, _, chunk_traces = _run_paths(
-            rate, cfg, idx, max(0, n_traced - start), trace_stride
+            kernel, cfg, idx, max(0, n_traced - start), trace_stride
         )
         costs[start:stop] = chunk_cost
         exited[start:stop] = chunk_exited
@@ -258,11 +259,11 @@ def cost_statistics(costs: np.ndarray, exited: np.ndarray) -> tuple[float, float
     return mean, stderr, n_exited
 
 
-def monte_carlo_cost(rate: RateSeries, cfg: SimConfig) -> tuple[float, float, int]:
+def monte_carlo_cost(kernel: SeriesKernel, cfg: SimConfig) -> tuple[float, float, int]:
     """Mean and standard error of the accumulated cost over exited paths.
 
     Paths are path_index 0..n_paths-1; the reduction runs in index order,
-    so the result is a pure function of (cfg, rate).  n_exited lets callers
+    so the result is a pure function of (cfg, kernel).  n_exited lets callers
     detect horizon-truncation bias.
 
     Raises:
@@ -270,7 +271,7 @@ def monte_carlo_cost(rate: RateSeries, cfg: SimConfig) -> tuple[float, float, in
     """
     if cfg.n_paths < 2:
         raise ValueError("n_paths must be >= 2 for a standard error")
-    costs, exited, _ = collect_costs(rate, cfg)
+    costs, exited, _ = collect_costs(kernel, cfg)
     mean, stderr, n_exited = cost_statistics(costs, exited)
     if n_exited == 0:
         raise RuntimeError("no exits within horizon")

@@ -42,6 +42,11 @@ def log_space_rho(rate, s):
 
 
 class TestRateCoeff:
+    def test_build_rate_is_the_kernel(self, std_kernel):
+        assert build_rate(std_kernel) is std_kernel
+        assert std_kernel.x_switch == HORNER_X_MAX
+        assert std_kernel.riccati_r.size == 0
+
     def test_zero_at_origin_exact(self, std_rate, wide_rate):
         assert rate_coeff(std_rate, 0.0) == 0.0
         assert rate_coeff(wide_rate, 0.0) == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -95,9 +96,30 @@ class TestBuildKernel:
         k = build_kernel(ModelParams(n, sigma, radius=1e-3), r_max=math.sqrt(2) * sigma)
         assert k.truncation_order <= 10
 
+    # frozen: the stopping rule's orders at cells across both branches and
+    # up to near the cap
+    @pytest.mark.parametrize(
+        "n,sigma,r_max,order",
+        [(2, 1.0, 1.0, 6), (100, 1.0, 1.0, 4), (2, 0.5, 4.0, 43), (100, 0.5, 4.0, 33),
+         (1, 1.0, 80.0, 1824), (100, 1.0, 0.05, 1)],
+    )
+    def test_pinned_truncation_order(self, n, sigma, r_max, order):
+        k = build_kernel(ModelParams(n, sigma, min(r_max, 1.0)), r_max=r_max)
+        assert k.truncation_order == order == k.log_a.size - 1
+
     def test_truncation_overflow_refused(self):
         with pytest.raises(ValueError, match="series truncation overflow"):
             build_kernel(ModelParams(2, 0.05, 1.0), r_max=10.0)
+        with pytest.raises(ValueError, match="series truncation overflow"):
+            build_kernel(ModelParams(1, 1.0, 1.0), r_max=90.0)
+
+    def test_linear_coefficients_follow_log_a(self, std_kernel):
+        log_a = std_kernel.log_a.copy()
+        log_a[1] += 1.0
+        k = dataclasses.replace(std_kernel, log_a=log_a)
+        assert np.array_equal(k.c, np.exp(log_a))
+        assert np.array_equal(k.b, k.c * np.arange(log_a.size))
+        assert k.truncation_order == std_kernel.truncation_order
 
     def test_rejects_bad_tol_and_range(self, std_params):
         with pytest.raises(ValueError):
@@ -136,7 +158,7 @@ class TestEvaluation:
         # summations of A and B; both can be trusted across the split
         x = np.linspace(HORNER_X_MAX / 2, 2.0 * HORNER_X_MAX, 81)
         log_x = np.log(x)
-        t, b = _horner(wide_kernel._a, wide_kernel._b, x)
+        t, b = _horner(wide_kernel.c, wide_kernel.b, x)
         m, s0, s1 = _log_sums(wide_kernel.log_a, log_x)
         log_a_sum = m + np.log(s0)
         log_b_sum = m + np.log(s1) - log_x
@@ -151,10 +173,10 @@ class TestEvaluation:
             r_top = min(kernel.r_max, 0.999 * sigma * (4.0 * HORNER_X_MAX) ** 0.25)
             r = np.linspace(0.0, r_top, 101)
             x = np.power(r / sigma, 4.0) / 4.0
-            assert np.array_equal(eval_u(kernel, r), npoly.polyval(x, kernel._a))
+            assert np.array_equal(eval_u(kernel, r), npoly.polyval(x, kernel.c))
             for point in r[::10]:
                 assert eval_u(kernel, float(point)) == npoly.polyval(
-                    np.power(point / sigma, 4.0) / 4.0, kernel._a
+                    np.power(point / sigma, 4.0) / 4.0, kernel.c
                 )
 
     def test_outside_certified_range(self, std_kernel):

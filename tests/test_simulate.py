@@ -113,9 +113,9 @@ class TestEulerPath:
                 collect_costs(std_rate, cfg, 2, stride)
 
     def test_diverged_state_flagged(self, std_rate):
-        bad_c = std_rate.c.copy()
-        bad_c[1] = np.nan
-        bad_rate = dataclasses.replace(std_rate, c=bad_c)
+        bad_log_a = std_rate.log_a.copy()
+        bad_log_a[1] = np.nan
+        bad_rate = dataclasses.replace(std_rate, log_a=bad_log_a)
         cfg = SimConfig(dt=1e-3, max_steps=50, n_paths=1, seed=1, y0=np.asarray([0.3, 0.0]))
         with pytest.raises(RuntimeError, match="simulation diverged"):
             euler_path(bad_rate, cfg, 0)

@@ -572,6 +572,11 @@ class TestCli:
              "hjb-planner verify: series truncation overflow: .*sigma=1e-170"),
             (["sweep", "--r-grid", "bad"], "hjb-planner sweep: bad --r-grid 'bad'"),
             (["rate", "--n", "2.5", "--r", "1"], "hjb-planner rate: bad --n '2.5'"),
+            # a comma list with no values, not an empty run or the origin
+            (["cost", "--n", "2", "--radius", "1", "--r0", ","],
+             "hjb-planner cost: bad --r0 ',': want at least one value"),
+            (["simulate", "--y0", ","],
+             "hjb-planner simulate: bad --y0 ',': want at least one value"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
@@ -599,8 +604,9 @@ class TestCli:
             (".", r"bad --config '.*': Is a directory"),
             ("paths=4\npath=3\n", r"config key 'path' in '.*run\.cfg' names no option"),
             ("max-step=5\n", r"config key 'max-step' in '.*run\.cfg' names no option"),
+            ("y0=\n", "bad --y0 '': want at least one value"),
         ],
-        ids=["missing", "directory", "key-path", "key-max-step"],
+        ids=["missing", "directory", "key-path", "key-max-step", "empty-y0"],
     )
     def test_bad_config_file_is_one_line(self, tmp_path, capsys, config, reason):
         # a file that cannot be read, or a key naming no option of the verb
