@@ -19,10 +19,11 @@ rho = s^2 B/A) comes from the two sums A and B.  One private core
 evaluates them, split at x = HORNER_X_MAX:
 
 * x <= HORNER_X_MAX: the terms decay from the first, and one in-place
-  Horner pass gives t = A - 1 = x (a_1 + a_2 x + ...) and B.  Because
-  a_0 is exactly 1, t + 1.0 is bit for bit the Horner value of A, and
-  ln u = log1p(t) stays above 0 as r -> 0, where a plain ln(A) would round
-  to 0.  Its relative error there is the truncation's (see build_kernel).
+  Horner pass, over both rows at once, gives t = A - 1 = x (a_1 + a_2 x
+  + ...) and B.  Because a_0 is exactly 1, t + 1.0 is bit for bit the
+  Horner value of A, and ln u = log1p(t) stays above 0 as r -> 0, where a
+  plain ln(A) would round to 0.  Its relative error there is the
+  truncation's (see build_kernel).
 * beyond: A and B overflow double precision long before the certified
   range ends, so the sums are taken over weights normalized in log space,
   w_j = exp(ln a_j + j ln x - m) with m = max_k (ln a_k + k ln x), giving
@@ -72,9 +73,10 @@ _LN4 = math.log(4.0)
 class SeriesKernel:
     """Truncated representation of u(r) and u'(r).
 
-    log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0); c
-    (a_j) and b (j a_j), the Horner branch's linear coefficients, are
-    derived from it, so a kernel never holds two disagreeing copies.
+    log_a[j] holds ln a_j for j = 0..truncation_order (log_a[0] == 0); the
+    Horner branch's linear coefficients c (a_j) and b (j a_j), and
+    horner_cols, the pair (a_j, j a_j) per j, are derived from it, so a
+    kernel never holds two disagreeing copies.
     Evaluations are certified on [0, r_max]: the truncation order was chosen
     so the first omitted term at r_max is below _TERM_TOL = 1e-15 times the
     partial sum.  Instances are immutable and all evaluation functions are
@@ -84,18 +86,27 @@ class SeriesKernel:
     params: ModelParams
     log_a: np.ndarray
     r_max: float
-    # entries of c and b that underflow to 0.0 are beyond double precision
-    # anyway for x <= 1
-    c: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
+    # (a_j, j a_j) as a (2, 1) column per j, the two Horner rows'
+    # coefficients; entries that underflow to 0.0 are beyond double
+    # precision anyway for x <= 1
+    horner_cols: tuple = field(init=False, repr=False)
     # read by perfbench/layers.py only
     x_switch: ClassVar[float] = HORNER_X_MAX
     riccati_r: ClassVar[np.ndarray] = np.empty(0)
 
     def __post_init__(self) -> None:
-        c = np.exp(self.log_a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", c * np.arange(c.size))
+        table = np.stack([self.c, self.b], axis=1)
+        object.__setattr__(self, "horner_cols", tuple(table[:, :, None]))
+
+    @property
+    def c(self) -> np.ndarray:
+        """a_j = exp(ln a_j), j = 0..truncation_order."""
+        return np.exp(self.log_a)
+
+    @property
+    def b(self) -> np.ndarray:
+        """j a_j, j = 0..truncation_order."""
+        return self.c * np.arange(self.log_a.size)
 
     @property
     def truncation_order(self) -> int:
@@ -147,17 +158,22 @@ def build_kernel(params: ModelParams, r_max: float | None = None) -> SeriesKerne
     return SeriesKernel(params=params, log_a=np.asarray(log_a, dtype=float), r_max=r_max)
 
 
-def _horner(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t = A(x) - 1 = x * Horner(a_1..a_J) and B(x) = Horner(b_1..b_J) by
-    in-place Horner; x is only read.  a_0 is exactly 1, so t + 1.0 is bit
-    for bit polyval(x, a), and log1p(t) is ln A with no rounding of 1 + t."""
-    t = np.full(x.shape, a[-1])
-    bsum = np.full(x.shape, b[-1])
-    for aj, bj in zip(a[-2:0:-1], b[-2:0:-1]):
-        t *= x
-        t += aj
-        bsum *= x
-        bsum += bj
+def _horner(kernel: SeriesKernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = A(x) - 1 = x * Horner(a_1..a_J) and B(x) = Horner(b_1..b_J) at a
+    1-d array x, which is only read: one in-place Horner pass whose two
+    rows are t and B, over the kernel's horner_cols.  Each element sees the
+    operations of a one-row Horner, so t + 1.0 is bit for bit
+    polyval(x, a), and log1p(t) is ln A with no rounding of 1 + t."""
+    cols = kernel.horner_cols
+    tb = np.empty((2, x.size))
+    tb[...] = cols[-1]
+    # x in both rows, so the multiply runs without broadcasting
+    xx = np.empty_like(tb)
+    xx[...] = x
+    for col in cols[-2:0:-1]:
+        tb *= xx
+        tb += col
+    t, bsum = tb
     t *= x
     return t, bsum
 
@@ -207,7 +223,7 @@ def _kernel_eval(kernel: SeriesKernel, r, near, far):
     if lo < 0.0 or hi > kernel.r_max:
         bad = lo if lo < 0.0 else hi
         raise ValueError(f"evaluation outside certified range [0, {kernel.r_max}]: r = {bad!r}")
-    out = _split_sums(kernel, arr, near, far)
+    out = _split_sums(kernel, arr.reshape(-1), near, far).reshape(arr.shape)
     return float(out[0]) if scalar else out
 
 
@@ -225,11 +241,11 @@ def _split_sums(kernel: SeriesKernel, r: np.ndarray, near, far) -> np.ndarray:
     x = np.power(s, 4.0)
     x /= 4.0
     if x.max() <= HORNER_X_MAX:
-        return near(r, s, *_horner(kernel.c, kernel.b, x))
+        return near(r, s, *_horner(kernel, x))
     out = np.empty(r.shape)
     inside = x <= HORNER_X_MAX
     if inside.any():
-        out[inside] = near(r[inside], s[inside], *_horner(kernel.c, kernel.b, x[inside]))
+        out[inside] = near(r[inside], s[inside], *_horner(kernel, x[inside]))
     beyond = ~inside
     s_far = s[beyond]
     log_x = 4.0 * np.log(s_far) - _LN4

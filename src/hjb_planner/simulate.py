@@ -17,7 +17,13 @@ One pass serves both the cost statistics and the plot: the first paths
 of a batch are traced while it runs, so no path is simulated twice.  The
 rate's certified range is checked once per batch (r_max >= R); after that
 the loop keeps 0 <= |y| < R, and rho is evaluated on every step without a
-range check.
+range check, by the kernel's Horner pass over both of its sums at once.
+Exit and divergence come from one reduction per step, the largest |y|:
+no path exits while it is below R, and it is finite whenever every state
+is, so the full state is tested for non-finite values only when it is
+not, and once more after the horizon's last step.  Exits and traced rows
+are collected step by step and written to the result arrays once, after
+the loop.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ _CHUNK = 65536
 # batches still draw one step at a time and narrow ones amortize the
 # per-call cost of the generator over many steps
 _DRAW_BUDGET = 1 << 12
+_DIVERGED = "simulation diverged (non-finite inventory state)"
 
 
 @dataclass(frozen=True)
@@ -138,62 +145,104 @@ def _run_paths(
     y = np.tile(cfg.y0, (m, 1))
     cost = np.zeros(m)
     pos = np.arange(m)  # result slots of still-running paths
-    live = min(n_traced, m)  # rows [0, live) are the traced running paths
-    traces: list = [[] for _ in range(live)]
+    n_traces = live = min(n_traced, m)  # rows [0, live) are the traced running paths
+    # the loop only collects (step, result slots, values...) per step; the
+    # result arrays are filled once, after it
+    samples: list = []  # traced rows: y and cost
+    exits: list = []  # exiting paths: cost
 
     def record(rows, step):
-        sampled = np.empty((rows.size, n + 2))
-        sampled[:, 0] = step * dt
-        sampled[:, 1:-1] = y[rows]
-        sampled[:, -1] = cost[rows]
-        for slot, row in zip(pos[rows].tolist(), sampled):
-            traces[slot].append(row)
+        samples.append((step, pos.take(rows), y.take(rows, axis=0), cost.take(rows)))
 
-    # noise comes in blocks of consecutive steps, one row per running path:
-    # a block is scaled once when drawn, compacted with the other running
-    # arrays on an exit, and gives up its first column on every step
+    # noise comes in blocks of consecutive steps, one column per running
+    # path: a block is scaled and laid out step-major once when drawn, so
+    # that a step's noise is one contiguous (paths, N) slab; it is compacted
+    # with the other running arrays on an exit and gives up its first slab
+    # on every step
     pairs = (n + 1) // 2
-    block = np.empty((m, 0, n))
+    block = np.empty((0, m, n))
     for step in range(cfg.max_steps):
         r = np.sqrt(np.einsum("ij,ij->i", y, y))
-        hit = r >= radius
+        # the largest radius decides both tests: it is finite when every
+        # state is (a finite state whose |y|^2 overflows is an exit), and
+        # no path exits while it is below R
+        r_top = float(r.max())
+        if not math.isfinite(r_top) and not np.isfinite(y).all():
+            raise RuntimeError(_DIVERGED)
+        exiting = r_top >= radius
+        if exiting:
+            gone = (r >= radius).nonzero()[0]
         if live:
-            rows = np.arange(live) if step % trace_stride == 0 else np.flatnonzero(hit[:live])
-            if rows.size:
-                record(rows, step)
-        if hit.any():
-            slots = pos[hit]
-            exited[slots] = True
-            tau[slots] = step * dt
-            cost_total[slots] = cost[hit]
-            y_final[slots] = y[hit]
-            keep = ~hit
-            live = int(np.count_nonzero(keep[:live]))
-            pos, y, cost, r, block = pos[keep], y[keep], cost[keep], r[keep], block[keep]
+            if step % trace_stride == 0:
+                record(np.arange(live), step)
+            elif exiting:
+                rows = gone[gone < live]
+                if rows.size:
+                    record(rows, step)
+        if exiting:
+            # take() with integer rows: the same copies as boolean indexing,
+            # at a fraction of its cost on (paths, N) and block arrays
+            slots = pos.take(gone)
+            y_final[slots] = y.take(gone, axis=0)
+            exits.append((step, slots, cost.take(gone)))
+            kept = (r < radius).nonzero()[0]
+            live = int(kept.searchsorted(live))
+            pos, y, cost, r = pos.take(kept), y.take(kept, axis=0), cost.take(kept), r.take(kept)
+            block = block.take(kept, axis=1)
             if pos.size == 0:
                 break
         rho = _rho_unchecked(kernel, r)
-        cost += (rho * rho + 1.0) * r * r * dt
-        if block.shape[1] == 0:
+        # (rho * rho + 1.0) * r * r * dt, in one buffer
+        step_cost = np.multiply(rho, rho)
+        step_cost += 1.0
+        step_cost *= r
+        step_cost *= r
+        step_cost *= dt
+        cost += step_cost
+        if block.shape[0] == 0:
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
             block = normals(cfg.seed, paths[pos], step, n, k)
             block *= noise_scale
-        z, block = block[:, 0], block[:, 1:]
+            # a copy only when k > 1: a one-step block is step-major already
+            block = np.ascontiguousarray(block.transpose(1, 0, 2))
+        z, block = block[0], block[1:]
         # rounds as rho[:, None] * y * dt + z, in one temporary
         drift = np.multiply(rho[:, None], y)
         drift *= dt
         drift += z
         y += drift
-        if not np.isfinite(y).all():
-            raise RuntimeError("simulation diverged (non-finite inventory state)")
     else:
+        if not np.isfinite(y).all():
+            raise RuntimeError(_DIVERGED)
         cost_total[pos] = cost
         y_final[pos] = y
         if live:
             record(np.arange(live), cfg.max_steps)
 
-    traces = [np.array(rows) for rows in traces]
+    if exits:
+        t, slots, exit_cost = _joined(exits, dt)
+        exited[slots] = True
+        tau[slots] = t
+        cost_total[slots] = exit_cost
+    traces = []
+    if n_traces:
+        t, slots, y_rows, cost_rows = _joined(samples, dt)
+        # each trace's rows in step order: a stable sort of every sampled
+        # row by its path's slot
+        order = np.argsort(slots, kind="stable")
+        rows = np.column_stack((t, y_rows, cost_rows)).take(order, axis=0)
+        traces = np.split(rows, np.cumsum(np.bincount(slots, minlength=n_traces))[:-1])
     return tau, cost_total, exited, y_final, traces
+
+
+def _joined(records, dt):
+    """Per-step records (step, slots, values...) joined into arrays with one
+    entry per slot: the time step * dt, the slots and each value."""
+    steps, slots, *values = zip(*records)
+    # step * dt in Python floats, which turn inf without a numpy overflow
+    # warning should a huge dt overflow
+    t = np.repeat([step * dt for step in steps], [s.size for s in slots])
+    return (t, np.concatenate(slots), *(np.concatenate(v) for v in values))
 
 
 def euler_path(

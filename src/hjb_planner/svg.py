@@ -19,9 +19,18 @@ def _sy(v, v_max):
     return _H - _MB - (_H - _MT - _MB) * (v / v_max if v_max > 0 else 0.0)
 
 
+def _floats(values) -> list:
+    """Python floats from a sequence or a numpy array; an array's tolist()
+    converts in one call, and formatting Python floats is faster than
+    formatting numpy scalars."""
+    return values.tolist() if hasattr(values, "tolist") else [float(v) for v in values]
+
+
 def render_norm_paths(curves, boundary: float, title: str) -> str:
     """SVG of |y(t)| against t for each (t_values, norm_values) curve,
-    with a dashed horizontal rule at the stopping radius."""
+    with a dashed horizontal rule at the stopping radius.  The values may
+    be sequences of floats or 1-d arrays; both render the same text."""
+    curves = [(_floats(t), _floats(v)) for t, v in curves]
     t_max = max((c[0][-1] for c in curves if len(c[0])), default=1.0) or 1.0
     v_max = max(
         boundary, max((max(c[1]) for c in curves if len(c[1])), default=0.0)

@@ -30,7 +30,7 @@ RHO_AT_1_N2_SIGMA1 = 0.24249961258080194  # sigma^2 u'(1)/(1*u(1)) by brute forc
 
 def horner_rho(rate, s):
     """s^2 B/A from the kernel-sum core's Horner sums."""
-    t, b = _horner(rate.c, rate.b, np.power(s, 4.0) / 4.0)
+    t, b = _horner(rate, np.power(s, 4.0) / 4.0)
     return s * s * b / (t + 1.0)
 
 

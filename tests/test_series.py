@@ -158,7 +158,7 @@ class TestEvaluation:
         # summations of A and B; both can be trusted across the split
         x = np.linspace(HORNER_X_MAX / 2, 2.0 * HORNER_X_MAX, 81)
         log_x = np.log(x)
-        t, b = _horner(wide_kernel.c, wide_kernel.b, x)
+        t, b = _horner(wide_kernel, x)
         m, s0, s1 = _log_sums(wide_kernel.log_a, log_x)
         log_a_sum = m + np.log(s0)
         log_b_sum = m + np.log(s1) - log_x

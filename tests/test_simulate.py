@@ -8,6 +8,7 @@ from hjb_planner import ModelParams, build_kernel, build_rate, expected_optimal_
 from hjb_planner import simulate as simulate_module
 from hjb_planner.rate import _rho_unchecked
 from hjb_planner.rng import normals
+from hjb_planner.series import HORNER_X_MAX
 from hjb_planner.simulate import (
     SimConfig,
     _run_paths,
@@ -119,6 +120,24 @@ class TestEulerPath:
         cfg = SimConfig(dt=1e-3, max_steps=50, n_paths=1, seed=1, y0=np.asarray([0.3, 0.0]))
         with pytest.raises(RuntimeError, match="simulation diverged"):
             euler_path(bad_rate, cfg, 0)
+
+    def test_divergence_on_the_last_step_flagged(self, std_rate):
+        # the state turns non-finite on the horizon's only step, so no later
+        # step's exit test can see it
+        bad_log_a = std_rate.log_a.copy()
+        bad_log_a[1] = np.nan
+        bad_rate = dataclasses.replace(std_rate, log_a=bad_log_a)
+        cfg = SimConfig(dt=1e-3, max_steps=1, n_paths=1, seed=1, y0=np.asarray([0.3, 0.0]))
+        with pytest.raises(RuntimeError, match="simulation diverged"):
+            euler_path(bad_rate, cfg, 0)
+
+    def test_finite_state_with_overflowing_norm_exits(self, std_rate):
+        # |y|^2 overflows to inf, but the state is finite: an exit, not a
+        # divergence
+        cfg = SimConfig(dt=1e-3, max_steps=5, n_paths=1, seed=1, y0=np.asarray([1e200, 0.0]))
+        result = euler_path(std_rate, cfg, 0)
+        assert result.exited and result.tau == 0.0 and result.cost == 0.0
+        assert np.array_equal(result.y_final, [1e200, 0.0])
 
 
 class TestBatchEngine:
@@ -247,19 +266,32 @@ class TestOnePass:
             assert np.array_equal(_rho_unchecked(rate, points), rate_coeff(rate, points))
 
     def test_loop_rho_equals_rate_coeff(self, monkeypatch):
-        rate = build_rate(build_kernel(ModelParams(3, 0.5, 1.0), r_max=1.0))
-        branches = set()
+        cases = [
+            # x(R) = 4: calls take the Horner branch only, or both
+            (3, 0.5, 1.0, 0.0, {False, True}),
+            # x(R) = 1/4: the Horner branch only
+            (2, 1.0, 1.0, 0.0, {False}),
+            # x(R) = 1.0000000000000002, one ulp past HORNER_X_MAX, but every
+            # radius below R has x <= 0.9999999999999997; the paths start one
+            # ulp inside R, so the first step evaluates rho right at the edge
+            (2, 1.0, 2**0.5, np.nextafter(2**0.5, 0.0), {False}),
+        ]
+        for n, sigma, radius, start, expected in cases:
+            rate = build_rate(build_kernel(ModelParams(n, sigma, radius), r_max=radius))
+            branches = set()
 
-        def compared(rate_, r):
-            rho = _rho_unchecked(rate_, r)
-            assert np.array_equal(rho, rate_coeff(rate_, r))
-            branches.add(bool(np.any((r / 0.5) ** 4 / 4.0 > 1.0)))
-            return rho
+            def compared(rate_, r):
+                rho = _rho_unchecked(rate_, r)
+                assert np.array_equal(rho, rate_coeff(rate_, r))
+                branches.add(bool(np.any(np.power(r / sigma, 4.0) / 4.0 > HORNER_X_MAX)))
+                return rho
 
-        monkeypatch.setattr(simulate_module, "_rho_unchecked", compared)
-        cfg = SimConfig(dt=1e-3, max_steps=100_000, n_paths=50, seed=4, y0=np.zeros(3))
-        collect_costs(rate, cfg)
-        assert branches == {False, True}
+            monkeypatch.setattr(simulate_module, "_rho_unchecked", compared)
+            y0 = np.zeros(n)
+            y0[0] = start
+            cfg = SimConfig(dt=1e-3, max_steps=100_000, n_paths=50, seed=4, y0=y0)
+            collect_costs(rate, cfg)
+            assert branches == expected
 
 
 class TestMonteCarlo:

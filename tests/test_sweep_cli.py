@@ -22,6 +22,7 @@ from hjb_planner.params import ModelParams
 from hjb_planner.rate import build_rate, rate_coeff
 from hjb_planner.series import HORNER_X_MAX, build_kernel
 from hjb_planner.simulate import SimConfig
+from hjb_planner.svg import render_norm_paths
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +335,18 @@ class TestRunSimulate:
         assert len(result["trace_files"]) == 3
         trace_lines = result["trace_files"][0].read_text().splitlines()
         assert trace_lines[0] == "t,y_1,y_2,cost"
+
+    def test_list_and_array_curves_render_the_same(self):
+        rng = np.random.default_rng(3)
+        curves = [
+            (np.linspace(0.0, 0.7, 50), np.abs(rng.standard_normal(50))),
+            (np.linspace(0.0, 1.3, 80), np.abs(rng.standard_normal(80))),
+            (np.empty(0), np.empty(0)),
+        ]
+        as_lists = [(list(t), [float(v) for v in norms]) for t, norms in curves]
+        text = render_norm_paths(curves, 1.0, "paths")
+        assert text.count("<polyline") == 2
+        assert render_norm_paths(as_lists, 1.0, "paths") == text
 
     def test_no_exit_is_informational(self, tmp_path):
         # truncated horizon: summary written with n_exited=0, no exception
