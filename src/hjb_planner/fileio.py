@@ -13,6 +13,8 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 CHUNK_ROWS = 4096  # rows formatted into one block of text per write
 
 
@@ -26,6 +28,15 @@ def fmt(value) -> str:
 def row_blocks(size: int) -> Iterator[slice]:
     """Slices of CHUNK_ROWS rows that cover range(size) in order."""
     return (slice(start, start + CHUNK_ROWS) for start in range(0, size, CHUNK_ROWS))
+
+
+def pair_blocks(prefix: str, x: np.ndarray, y: np.ndarray) -> Iterator[str]:
+    """Rows prefix,x,y of two float arrays as CSV text with 17-digit floats,
+    CHUNK_ROWS rows per block, each block one %-format."""
+    row = prefix.replace("%", "%%") + "%.17g,%.17g\n"
+    for b in row_blocks(x.size):
+        pairs = np.column_stack((x[b], y[b])).ravel().tolist()
+        yield (row * (len(pairs) // 2)) % tuple(pairs)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Path:

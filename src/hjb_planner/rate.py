@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fileio import atomic_write_text, row_blocks
+from .fileio import atomic_write_text, pair_blocks
 from .params import ModelParams
 from .series import SeriesKernel, _kernel_eval, _split_sums
 
@@ -125,11 +125,7 @@ def rate_table_chunks(kernel: SeriesKernel, r_grid) -> Iterator[str]:
     before the first block, so a refused radius raises here."""
     grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     values = np.atleast_1d(rate_coeff(kernel, grid))
-    blocks = (
-        "".join([f"{r:.17g},{v:.17g}\n" for r, v in zip(grid[b].tolist(), values[b].tolist())])
-        for b in row_blocks(grid.size)
-    )
-    return itertools.chain(["r,rate\n"], blocks)
+    return itertools.chain(["r,rate\n"], pair_blocks("", grid, values))
 
 
 def write_rate_table(kernel: SeriesKernel, r_grid, path) -> None:

@@ -24,9 +24,9 @@ as 1, 2, 3" (SC 2011).
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .params import exact_int
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -99,11 +99,15 @@ def _words_to_float(hi, lo, out=None):
 def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -> np.ndarray:
     """Standard normals for steps step..step+n_steps-1 of each path.
 
-    Shape (len(path_index), n_steps, n_components); a single step is the
-    block of one, [:, 0].  The counter words are (step, path low 32, pair,
-    path high 32) and the key words are the seed halves; pair enumerates
-    component pairs, which Box-Muller maps to components (2k, 2k+1).  Row
-    k of a block is therefore bit for bit the draw of step + k alone.
+    Shape (len(path_index), n_steps, n_components), a view of step-major
+    storage; a single step is the block of one, [:, 0].  The counter words
+    are (step, path low 32, pair, path high 32) and the key words are the
+    seed halves; pair enumerates component pairs, which Box-Muller maps to
+    components (2k, 2k+1).  Row k of a block is therefore bit for bit the
+    draw of step + k alone.  A scalar that is not an exact integer, or a
+    path_index that is not nonnegative integers, is refused with a
+    ValueError naming it: 1.5 would share the stream of 1, and -1 that of
+    2**64 - 1.
 
     Paths are drawn in groups of as many as fit in _PASS_BLOCKS Philox
     blocks, at least one.  In each group, Philox round 1 runs on the
@@ -112,16 +116,25 @@ def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -
     becomes a double as hi * 2**32 + lo, and the scratch and consumed word
     buffers are reused as the float scratch of Box-Muller.
     """
+    seed = exact_int("seed", seed)
+    step = exact_int("step", step)
+    n_components = exact_int("n_components", n_components)
+    n_steps = exact_int("n_steps", n_steps)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if step < 0 or step + n_steps > 2**32:
         raise ValueError("steps must fit in 32 bits")
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
-    paths = np.atleast_1d(np.asarray(path_index, dtype=np.uint64))
+    paths = np.asarray(path_index)
+    if paths.dtype.kind not in "iu":  # ints on both sides of 2^63 come out float64
+        exact = [exact_int("path_index", p) for p in np.asarray(path_index, dtype=object).flat]
+        paths = np.array(exact, dtype=object)
+    if paths.dtype.kind != "u" and (paths < 0).any():  # would wrap onto paths near 2^64
+        raise ValueError("path_index must be nonnegative")
+    paths = np.atleast_1d(paths).astype(np.uint64, copy=False)
     n_pairs = (n_components + 1) // 2
 
     # the word buffers are allocated once and reused by every group
@@ -130,7 +143,8 @@ def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -
     scratch = [
         np.empty(min(rows, paths.size) * row_blocks, dtype=np.uint64) for _ in range(6)
     ]
-    z = np.empty((paths.size, n_steps, 2 * n_pairs))
+    # stored step-major, so that a step's (paths, N) slab is contiguous
+    z = np.empty((n_steps, paths.size, 2 * n_pairs)).transpose(1, 0, 2)
     steps = np.arange(step, step + n_steps, dtype=np.uint64)[:, None]
     pairs = np.arange(n_pairs, dtype=np.uint64)
     k0 = np.uint64(seed) & _MASK32

@@ -21,9 +21,9 @@ range check, by the kernel's Horner pass over both of its sums at once.
 Exit and divergence come from one reduction per step, the largest |y|:
 no path exits while it is below R, and it is finite whenever every state
 is, so the full state is tested for non-finite values only when it is
-not, and once more after the horizon's last step.  Exits and traced rows
-are collected step by step and written to the result arrays once, after
-the loop.
+not, and once more after the horizon's last step.  Every row the loop
+keeps, a path's end or a traced row, is one record in a list in step
+order; results and traces are read from it once, after the loop.
 """
 
 from __future__ import annotations
@@ -137,22 +137,16 @@ def _run_paths(
 
     paths = np.asarray(path_indices, dtype=np.uint64)
     m = paths.size
-    tau = np.full(m, cfg.max_steps * dt)
-    cost_total = np.zeros(m)
-    exited = np.zeros(m, dtype=bool)
-    y_final = np.zeros((m, n))
-
     y = np.tile(cfg.y0, (m, 1))
     cost = np.zeros(m)
     pos = np.arange(m)  # result slots of still-running paths
     n_traces = live = min(n_traced, m)  # rows [0, live) are the traced running paths
-    # the loop only collects (step, result slots, values...) per step; the
-    # result arrays are filled once, after it
-    samples: list = []  # traced rows: y and cost
-    exits: list = []  # exiting paths: cost
-
-    def record(rows, step):
-        samples.append((step, pos.take(rows), y.take(rows, axis=0), cost.take(rows)))
+    # every row the loop keeps is one (step, slots, y, cost, ended) record,
+    # in step order: each path's end, at its exit or the horizon, and the
+    # traced rows still running at each trace_stride step.  An exit moves
+    # its rows behind the running ones, where no later step writes, so its
+    # record is a view, and y, cost and pos become views of the rows in front
+    records: list = []
 
     # noise comes in blocks of consecutive steps, one column per running
     # path: a block is scaled and laid out step-major once when drawn, so
@@ -169,28 +163,20 @@ def _run_paths(
         r_top = float(r.max())
         if not math.isfinite(r_top) and not np.isfinite(y).all():
             raise RuntimeError(_DIVERGED)
-        exiting = r_top >= radius
-        if exiting:
-            gone = (r >= radius).nonzero()[0]
-        if live:
-            if step % trace_stride == 0:
-                record(np.arange(live), step)
-            elif exiting:
-                rows = gone[gone < live]
-                if rows.size:
-                    record(rows, step)
-        if exiting:
+        if r_top >= radius:
             # take() with integer rows: the same copies as boolean indexing,
             # at a fraction of its cost on (paths, N) and block arrays
-            slots = pos.take(gone)
-            y_final[slots] = y.take(gone, axis=0)
-            exits.append((step, slots, cost.take(gone)))
             kept = (r < radius).nonzero()[0]
+            order = np.concatenate((kept, (r >= radius).nonzero()[0]))
+            y[:], cost[:], pos[:] = y.take(order, axis=0), cost.take(order), pos.take(order)
+            records.append((step, pos[kept.size :], y[kept.size :], cost[kept.size :], True))
+            y, cost, pos = y[: kept.size], cost[: kept.size], pos[: kept.size]
             live = int(kept.searchsorted(live))
-            pos, y, cost, r = pos.take(kept), y.take(kept, axis=0), cost.take(kept), r.take(kept)
-            block = block.take(kept, axis=1)
-            if pos.size == 0:
+            r, block = r.take(kept), block.take(kept, axis=1)
+            if kept.size == 0:
                 break
+        if live and step % trace_stride == 0:
+            records.append((step, pos[:live].copy(), y[:live].copy(), cost[:live].copy(), False))
         rho = _rho_unchecked(kernel, r)
         # (rho * rho + 1.0) * r * r * dt, in one buffer
         step_cost = np.multiply(rho, rho)
@@ -203,7 +189,7 @@ def _run_paths(
             k = min(max(1, _DRAW_BUDGET // (pos.size * pairs)), cfg.max_steps - step)
             block = normals(cfg.seed, paths[pos], step, n, k)
             block *= noise_scale
-            # a copy only when k > 1: a one-step block is step-major already
+            # normals stores blocks step-major: a copy only for odd N
             block = np.ascontiguousarray(block.transpose(1, 0, 2))
         z, block = block[0], block[1:]
         # rounds as rho[:, None] * y * dt + z, in one temporary
@@ -214,35 +200,35 @@ def _run_paths(
     else:
         if not np.isfinite(y).all():
             raise RuntimeError(_DIVERGED)
-        cost_total[pos] = cost
-        y_final[pos] = y
-        if live:
-            record(np.arange(live), cfg.max_steps)
+        records.append((cfg.max_steps, pos, y, cost, True))
 
-    if exits:
-        t, slots, exit_cost = _joined(exits, dt)
-        exited[slots] = True
-        tau[slots] = t
-        cost_total[slots] = exit_cost
+    t, slots, y_rows, cost_rows, ended = _joined(records, dt)
+    # every slot ends exactly once, and the horizon's record, if any, is the
+    # last, holding the pos.size paths still running
+    end_row = ended.nonzero()[0][np.argsort(slots[ended])]
+    tau, cost_total, y_final = t[end_row], cost_rows[end_row], y_rows[end_row]
+    exited = end_row < t.size - pos.size
     traces = []
     if n_traces:
-        t, slots, y_rows, cost_rows = _joined(samples, dt)
-        # each trace's rows in step order: a stable sort of every sampled
-        # row by its path's slot
-        order = np.argsort(slots, kind="stable")
-        rows = np.column_stack((t, y_rows, cost_rows)).take(order, axis=0)
-        traces = np.split(rows, np.cumsum(np.bincount(slots, minlength=n_traces))[:-1])
+        # each trace's rows in step order: a stable sort of the traced
+        # slots' rows by slot
+        traced = (slots < n_traces).nonzero()[0]
+        traced = traced[np.argsort(slots[traced], kind="stable")]
+        rows = np.column_stack((t[traced], y_rows[traced], cost_rows[traced]))
+        traces = np.split(rows, np.cumsum(np.bincount(slots[traced], minlength=n_traces))[:-1])
     return tau, cost_total, exited, y_final, traces
 
 
 def _joined(records, dt):
-    """Per-step records (step, slots, values...) joined into arrays with one
-    entry per slot: the time step * dt, the slots and each value."""
-    steps, slots, *values = zip(*records)
+    """Per-step records (step, slots, y, cost, ended) joined into arrays
+    with one entry per row: the time step * dt, the slot, y, cost and
+    ended."""
+    steps, slots, y, cost, ended = zip(*records)
+    sizes = [s.size for s in slots]
     # step * dt in Python floats, which turn inf without a numpy overflow
     # warning should a huge dt overflow
-    t = np.repeat([step * dt for step in steps], [s.size for s in slots])
-    return (t, np.concatenate(slots), *(np.concatenate(v) for v in values))
+    t = np.repeat([step * dt for step in steps], sizes)
+    return t, *(np.concatenate(v) for v in (slots, y, cost)), np.repeat(ended, sizes)
 
 
 def euler_path(
@@ -253,6 +239,7 @@ def euler_path(
     trace_stride: int = 1,
 ) -> PathResult:
     """Simulate one path; fully determined by (cfg.seed, path_index)."""
+    path_index = exact_int("path_index", path_index)
     if path_index < 0 or path_index >= 2**64:
         raise ValueError("path_index must be a nonnegative 64-bit integer")
     tau, cost, exited, y_final, traces = _run_paths(

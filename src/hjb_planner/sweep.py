@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, csv_text, fmt, row_blocks, write_csv
+from .fileio import atomic_write_text, csv_text, fmt, pair_blocks, row_blocks, write_csv
 from .oracles import (
     BoundViolation,
     check_bounds,
@@ -102,20 +102,19 @@ class SweepTable:
     def write(self, path) -> Path:
         """rate_sweep.csv as write_csv would render rows, streamed in blocks
         of CHUNK_ROWS rows.  Only one block's text is live: each block is
-        one %-format of its (r, rate) pairs, with the cell's N,sigma prefix
-        in the row format."""
+        one %-format of its rows, with the cell's N,sigma prefix in the row
+        format."""
 
         def chunks():
             yield "N,sigma,r,rate\n"
             for n, s, rates in self.cells:
                 prefix = f"{n},{s:.17g},"
-                for b in row_blocks(self.radii.size):
-                    if rates is None:
+                if rates is None:
+                    for b in row_blocks(self.radii.size):
                         radii = self.radii[b].tolist()
                         yield (f"{prefix}%.17g,\n" * len(radii)) % tuple(radii)
-                    else:
-                        pairs = np.column_stack((self.radii[b], rates[b])).ravel().tolist()
-                        yield (f"{prefix}%.17g,%.17g\n" * (len(pairs) // 2)) % tuple(pairs)
+                else:
+                    yield from pair_blocks(prefix, self.radii, rates)
 
         return atomic_write_text(path, chunks())
 

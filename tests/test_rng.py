@@ -73,6 +73,21 @@ def test_validation():
         normals(0, [0], 0, 0, 1)
     with pytest.raises(TypeError):
         normals(0, [0], 0, 2)  # n_steps is required
+    # truncated, each of these would share the noise stream of an integer
+    for args, name in [
+        ((2.5, [0], 0, 2, 1), "seed"),
+        ((0, [0], 1.5, 2, 1), "step"),
+        ((0, [0], 0, 2.0, 1), "n_components"),
+        ((0, [0], 0, 2, 1.0), "n_steps"),
+        ((0, [0.7], 0, 2, 1), "path_index"),
+        ((0, np.array([1.0, 2.0]), 0, 2, 1), "path_index"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            normals(*args)
+    # nor may a negative index wrap onto path 2^64 - 1
+    for paths in ([-1], np.array([3, -1]), [2**64 - 1, -1]):
+        with pytest.raises(ValueError, match="path_index must be nonnegative"):
+            normals(0, paths, 0, 2, 1)
 
 
 @given(

@@ -42,9 +42,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
-    def test_non_integer_count_named(self):
+    def test_non_integer_count_named(self, std_rate):
         with pytest.raises(ValueError, match=r"max_steps must be an integer, got 10\.5"):
             SimConfig(dt=1e-3, max_steps=10.5, n_paths=2, seed=1, y0=[0.0, 0.0])
+        # truncated, path 1.5 would run path 1
+        with pytest.raises(ValueError, match=r"path_index must be an integer, got 1\.5"):
+            euler_path(std_rate, cfg_origin(n_paths=2), 1.5)
 
     def test_dimension_mismatch_detected(self, std_rate):
         cfg = cfg_origin(dim=3)
@@ -230,8 +233,21 @@ class TestOnePass:
         rate = build_rate(build_kernel(ModelParams(dim, 1.0, 1.0), r_max=1.0))
         cfg = SimConfig(dt=1e-3, max_steps=max_steps, n_paths=n_paths, seed=8, y0=y0)
         n_traced = 12  # a prefix of the first two cases, all paths of the others
-        costs, exited, traces = collect_costs(rate, cfg, n_traced, stride)
+        batches = []
+
+        def recorded(*args):
+            batches.append(_run_paths(*args))
+            return batches[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate_module, "_run_paths", recorded)
+            costs, exited, traces = collect_costs(rate, cfg, n_traced, stride)
         assert len(traces) == min(n_traced, n_paths)
+        # a trace ends on its path's result row from the same batch
+        for tau, cost, _, y_final, batch_traces in batches:
+            for i, trace in enumerate(batch_traces):
+                assert np.array_equal(trace[-1], [tau[i], *y_final[i], cost[i]])
+        assert sum(len(b[4]) for b in batches) == len(traces)
         for pid in range(len(traces)):
             single = euler_path(rate, cfg, pid, record_trace=True, trace_stride=stride)
             assert traces[pid].dtype == np.float64
