@@ -102,7 +102,6 @@ OPTIONS = {
         ("--sigma", float, 1.0, "diffusion coefficient"),
         ("--radius", float, 1.0, "stopping radius"),
         ("--r0", _parse_list(float), (0.0,), "comma list of start radii"),
-        ("--out", Path, "out", "output directory"),
     )),
 }
 

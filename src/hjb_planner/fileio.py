@@ -25,18 +25,13 @@ def fmt(value) -> str:
     return str(value)
 
 
-def row_blocks(size: int) -> Iterator[slice]:
-    """Slices of CHUNK_ROWS rows that cover range(size) in order."""
-    return (slice(start, start + CHUNK_ROWS) for start in range(0, size, CHUNK_ROWS))
-
-
-def pair_blocks(prefix: str, x: np.ndarray, y: np.ndarray) -> Iterator[str]:
-    """Rows prefix,x,y of two float arrays as CSV text with 17-digit floats,
-    CHUNK_ROWS rows per block, each block one %-format."""
-    row = prefix.replace("%", "%%") + "%.17g,%.17g\n"
-    for b in row_blocks(x.size):
-        pairs = np.column_stack((x[b], y[b])).ravel().tolist()
-        yield (row * (len(pairs) // 2)) % tuple(pairs)
+def column_blocks(row: str, *columns: np.ndarray) -> Iterator[str]:
+    """Equal-length columns as text, CHUNK_ROWS rows per block, each block
+    one %-format of row repeated, whose conversions take one value per
+    column in order (such as "2,0.5,%.17g,%.17g\\n")."""
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        block = np.column_stack([c[start : start + CHUNK_ROWS] for c in columns]).ravel().tolist()
+        yield (row * (len(block) // len(columns))) % tuple(block)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Path:

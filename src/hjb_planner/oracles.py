@@ -60,6 +60,7 @@ from .params import ModelParams
 from .series import SeriesKernel, _kernel_eval, eval_log_u, eval_log_u_prime
 
 MARGIN_FLOOR = -1e-12
+BOUND_NAMES = ("kernel_growth", "kernel_slope_growth", "rate_sigma_bound", "rate_envelope")
 
 _PICARD_MAX_ITER = 200
 _PICARD_TOL = 1e-10  # sup-difference of successive iterates that stops a level
@@ -480,10 +481,17 @@ class BoundReport:
     """Signed relative margins (bound - value)/bound per grid point; a
     non-finite margin is reported as the worst one and fails ok."""
 
-    rows: tuple  # (r, bound_name, margin) triples, grid-major
+    radii: np.ndarray  # the grid, read-only
+    margins: np.ndarray  # read-only, (radii.size, len(BOUND_NAMES)): a column per bound
     min_margin: float
     worst_bound: str
     worst_r: float
+
+    @property
+    def rows(self) -> tuple:
+        """(r, bound_name, margin) triples of Python floats, grid-major."""
+        radii = np.repeat(self.radii, len(BOUND_NAMES)).tolist()
+        return tuple(zip(radii, BOUND_NAMES * self.radii.size, self.margins.ravel().tolist()))
 
     @property
     def ok(self) -> bool:
@@ -516,7 +524,7 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
             report rides on the exception); a non-finite margin is a
             violation.
     """
-    r = np.asarray(grid, dtype=float)
+    r = np.array(grid, dtype=float)  # a copy, kept read-only in the report
     if r.ndim != 1 or np.any(np.diff(r) <= 0) or not np.all(r >= 0):
         raise ValueError("grid must be 1-D, strictly increasing, nonnegative")
     n = kernel.params.n_goods
@@ -537,37 +545,31 @@ def check_bounds(kernel: SeriesKernel, grid) -> BoundReport:
     log_u_bound = x / (n + 2)
     log_up_bound = 3.0 * np.log(rp) - math.log(sigma2 * sigma2 * (n + 2)) + x / (n + 2)
 
-    # one row per grid point, one column per bound in the order named below.
+    # one row per grid point, one column per bound in BOUND_NAMES' order.
     # Origin: u = 1 meets its bound with equality, u' and the rate are
     # exactly 0 against bounds 0 and 1, and 1 - rho/env takes its limit
     # 1 - a_1 N = 2/(N+2), so the envelope column has no jump at r = 0.
-    margins = np.empty((r.size, 4))
+    margins = np.empty((r.size, len(BOUND_NAMES)))
     margins[~positive] = (0.0, 0.0, 1.0, 2.0 / (n + 2))
     margins[positive, 0] = -np.expm1(log_u - log_u_bound)
     margins[positive, 1] = -np.expm1(log_up - log_up_bound)
     margins[positive, 2] = 1.0 - s2 * b_over_a
     margins[positive, 3] = 1.0 - b_over_a * (n + np.hypot(n, 2.0 * s2)) / 2.0
-    rows = [
-        (radius, name, margin)
-        for radius, row in zip(r.tolist(), margins.tolist())
-        for name, margin in zip(
-            ("kernel_growth", "kernel_slope_growth", "rate_sigma_bound", "rate_envelope"), row
-        )
-    ]
+    r.flags.writeable = margins.flags.writeable = False
 
-    flat = margins.ravel()
-    bad = np.flatnonzero(~np.isfinite(flat))
-    worst = rows[bad[0] if bad.size else np.argmin(flat)]
+    bad = np.flatnonzero(~np.isfinite(margins))
+    point, bound = divmod(int(bad[0] if bad.size else np.argmin(margins)), len(BOUND_NAMES))
     report = BoundReport(
-        rows=tuple(rows),
-        min_margin=worst[2],
-        worst_bound=worst[1],
-        worst_r=worst[0],
+        radii=r,
+        margins=margins,
+        min_margin=float(margins[point, bound]),
+        worst_bound=BOUND_NAMES[bound],
+        worst_r=float(r[point]),
     )
     if not report.ok:
         raise BoundViolation(
-            f"bound violation: {worst[1]} at r={worst[0]:.6g} "
-            f"(margin {worst[2]:.3e})",
+            f"bound violation: {report.worst_bound} at r={report.worst_r:.6g} "
+            f"(margin {report.min_margin:.3e})",
             report,
         )
     return report

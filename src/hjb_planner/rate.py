@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fileio import atomic_write_text, pair_blocks
+from .fileio import atomic_write_text, column_blocks
 from .params import ModelParams
 from .series import SeriesKernel, _kernel_eval, _split_sums
 
@@ -105,10 +105,16 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
     Evaluated in the rationalized form 2r / (sigma^2 (sqrt(...) + N/r)),
     which avoids the catastrophic cancellation of the textbook form at
     small r.  Tends to r^2/(N sigma^2) at 0 and to 1 at infinity.
+
+    Raises:
+        ValueError: naming the first negative or non-finite radius.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
+    if bad.size:
+        raise ValueError(f"envelope needs finite radii r >= 0, got r = {float(bad[0])!r}")
     n = params.n_goods
     sigma2 = params.sigma**2
     out = np.zeros(arr.shape)
@@ -125,7 +131,7 @@ def rate_table_chunks(kernel: SeriesKernel, r_grid) -> Iterator[str]:
     before the first block, so a refused radius raises here."""
     grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     values = np.atleast_1d(rate_coeff(kernel, grid))
-    return itertools.chain(["r,rate\n"], pair_blocks("", grid, values))
+    return itertools.chain(["r,rate\n"], column_blocks("%.17g,%.17g\n", grid, values))
 
 
 def write_rate_table(kernel: SeriesKernel, r_grid, path) -> None:

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, csv_text, fmt, pair_blocks, row_blocks, write_csv
+from .fileio import atomic_write_text, column_blocks, csv_text, fmt, write_csv
 from .oracles import (
+    BOUND_NAMES,
     BoundViolation,
     check_bounds,
     max_rel_diff,
@@ -108,13 +109,10 @@ class SweepTable:
         def chunks():
             yield "N,sigma,r,rate\n"
             for n, s, rates in self.cells:
-                prefix = f"{n},{s:.17g},"
-                if rates is None:
-                    for b in row_blocks(self.radii.size):
-                        radii = self.radii[b].tolist()
-                        yield (f"{prefix}%.17g,\n" * len(radii)) % tuple(radii)
+                if rates is None:  # a refused cell: the radii column alone
+                    yield from column_blocks(f"{n},{s:.17g},%.17g,\n", self.radii)
                 else:
-                    yield from pair_blocks(prefix, self.radii, rates)
+                    yield from column_blocks(f"{n},{s:.17g},%.17g,%.17g\n", self.radii, rates)
 
         return atomic_write_text(path, chunks())
 
@@ -195,11 +193,8 @@ def run_verify(
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    eq_rows, failed_cells, envelope_rows = [], [], []
-    # verify_bounds.csv by cell: one %-format of its rows, with the N,sigma,radius
-    # prefix formatted once into the row format
+    eq_rows, failed_cells, envelope_rows, bound_failures = [], [], [], []
     bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
-    bound_failures: list[str] = []
     min_margin = math.inf
     for n, s, radius, params, grid, kernel in cells:
         series_vals = np.atleast_1d(eval_u(kernel, grid))
@@ -224,11 +219,20 @@ def run_verify(
         except BoundViolation as exc:
             report = exc.report
             bound_failures.append(str(exc))
-        row = f"{fmt(n)},{fmt(s)},{fmt(radius)},%.17g,%s,%.17g\n"
-        bound_parts.append(
-            (row * len(report.rows)) % tuple(itertools.chain.from_iterable(report.rows))
-        )
+        # verify_bounds.csv from the report's columns: a row per bound per
+        # grid point, the cell prefix and the bound names in the row format
+        prefix = f"{fmt(n)},{fmt(s)},{fmt(radius)},%.17g,"
+        row = "".join(f"{prefix}{name},%.17g\n" for name in BOUND_NAMES)
+        columns = itertools.chain.from_iterable((report.radii, m) for m in report.margins.T)
+        bound_parts.extend(column_blocks(row, *columns))
         min_margin = min(min_margin, report.min_margin)
+
+    failures = 0
+
+    def verdict(name, failed, detail, count=1):
+        nonlocal failures
+        failures += count if failed else 0
+        echo(f"{name}: {'FAIL' if failed else 'PASS'} ({detail})")
 
     write_csv(
         out / "verify_equivalence.csv",
@@ -240,37 +244,26 @@ def run_verify(
         ["N", "sigma", "radius", "reason"],
         [(*cell, csv_text(reason)) for *cell, reason in failed_cells],
     )
-    failures = len(failed_cells)
     for n, s, radius, reason in failed_cells:
-        cell = f"N={n} sigma={s!r} R={radius!r}"
-        echo(f"equivalence: FAIL (cell {cell}: {reason})")
+        verdict("equivalence", True, f"cell N={n} sigma={s!r} R={radius!r}: {reason}")
     # no equivalence rows only when every cell failed, reported above
     worst_eq = max((max(row[3:6]) for row in eq_rows), default=0.0)
-    if not worst_eq <= EQUIVALENCE_TOL:
-        failures += 1
-        echo(f"equivalence: FAIL (worst pairwise rel diff {worst_eq:.3e})")
-    elif not failed_cells:
-        echo(f"equivalence: PASS (worst pairwise rel diff {worst_eq:.3e})")
+    eq_failed = not worst_eq <= EQUIVALENCE_TOL
+    if eq_failed or not failed_cells:
+        verdict("equivalence", eq_failed, f"worst pairwise rel diff {worst_eq:.3e}")
 
     atomic_write_text(out / "verify_bounds.csv", bound_parts)
-    failures += len(bound_failures)
-    if bound_failures:
-        echo(f"bounds: FAIL ({bound_failures[0]})")
-    else:
-        echo(f"bounds: PASS (min margin {min_margin:.3e})")
+    detail = bound_failures[0] if bound_failures else f"min margin {min_margin:.3e}"
+    verdict("bounds", bool(bound_failures), detail, count=len(bound_failures))
 
-    exact_rows = []
-    for s in (0.5, 1.0, 2.0):
-        for which in ("growing", "decaying"):
-            residual = verify_exact_4d(s, which, np.linspace(0.1, 3.0, 200))
-            exact_rows.append((s, which, residual))
+    exact_rows = [
+        (s, which, verify_exact_4d(s, which, np.linspace(0.1, 3.0, 200)))
+        for s in (0.5, 1.0, 2.0)
+        for which in ("growing", "decaying")
+    ]
     write_csv(out / "verify_exact4d.csv", ["sigma", "which", "max_residual"], exact_rows)
     worst_exact = max(row[2] for row in exact_rows)
-    if worst_exact <= EXACT4D_TOL:
-        echo(f"exact-4d fixtures: PASS (max residual {worst_exact:.3e})")
-    else:
-        failures += 1
-        echo(f"exact-4d fixtures: FAIL (max residual {worst_exact:.3e})")
+    verdict("exact-4d fixtures", not worst_exact <= EXACT4D_TOL, f"max residual {worst_exact:.3e}")
 
     write_csv(
         out / "verify_picard_bound.csv",
@@ -280,12 +273,11 @@ def run_verify(
     over = [row for row in envelope_rows if not row[4] <= row[5] * (1 + PICARD_BOUND_SLACK)]
     if over:
         n, s, radius, k, measured, bound = over[0]
-        cell = f"cell N={n} sigma={s!r} R={radius!r} k={k}"
-        failures += 1
-        echo(f"picard factorial envelope: FAIL ({cell}: {measured:.3e} > {bound:.3e})")
-    elif envelope_rows:
-        count = f"{len(envelope_rows)} iterations, {len(eq_rows)} cell(s)"
-        echo(f"picard factorial envelope: PASS ({count})")
+        detail = f"cell N={n} sigma={s!r} R={radius!r} k={k}: {measured:.3e} > {bound:.3e}"
+    else:
+        detail = f"{len(envelope_rows)} iterations, {len(eq_rows)} cell(s)"
+    if envelope_rows:
+        verdict("picard factorial envelope", bool(over), detail)
 
     echo(f"verify: {'FAIL' if failures else 'PASS'} ({failures} failing check(s))")
     return 1 if failures else 0

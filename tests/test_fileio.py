@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hjb_planner.fileio import CHUNK_ROWS, atomic_write_text, fmt, write_csv
+from hjb_planner.fileio import CHUNK_ROWS, atomic_write_text, column_blocks, fmt, write_csv
 from hjb_planner.simulate import write_trace
 
 
@@ -48,7 +49,13 @@ def test_write_trace_past_one_chunk_equals_one_shot_join(tmp_path):
     rng = np.random.default_rng(5)
     trace = rng.standard_normal((CHUNK_ROWS + 17, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
     trace[3] = [0.0, -0.0, 5e-324, math.nan, math.inf]
+    trace[CHUNK_ROWS] = [-math.inf, 1e16, -5e-324, 1e16 + 2.0, -0.0]
     write_trace(tmp_path / "trace.csv", trace, 3)
     lines = ["t,y_1,y_2,y_3,cost"]
     lines += [",".join(format(v, ".17g") for v in row) for row in trace.tolist()]
     assert (tmp_path / "trace.csv").read_text() == "\n".join(lines) + "\n"
+    # the block formatter's %.17g gives write_csv's format(v, ".17g") bytes,
+    # across a block boundary
+    blocks = column_blocks(",".join(["%.17g"] * 5) + "\n", *trace.T)
+    atomic_write_text(tmp_path / "blocks.csv", itertools.chain([lines[0] + "\n"], blocks))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()

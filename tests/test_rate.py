@@ -148,6 +148,32 @@ class TestRateCoeff:
             env = envelope(ModelParams(n, sigma, 1.0), r)
             assert np.max(np.abs(env - amos) / amos) < 1e-15
 
+    @pytest.mark.parametrize(
+        "r,named",
+        [
+            (math.nan, "nan"),
+            (-1.0, "-1.0"),
+            (math.inf, "inf"),
+            (-0.5e-323, "-5e-324"),
+            ([0.0, 1.0, math.nan], "nan"),
+            (np.array([0.5, -2.0, math.inf]), "-2.0"),
+            ([[0.0, -math.inf]], "-inf"),
+        ],
+        ids=["nan", "negative", "inf", "neg-subnormal", "array-nan", "array-first", "2d-neg-inf"],
+    )
+    def test_envelope_refuses_bad_radii(self, r, named):
+        # scalar and array radii alike; the first bad value is named
+        reason = rf"envelope needs finite radii r >= 0, got r = {named}$"
+        with pytest.raises(ValueError, match=reason):
+            envelope(ModelParams(2, 1.0, 1.0), r)
+
+    def test_envelope_keeps_shape_and_origin(self):
+        params = ModelParams(2, 1.0, 1.0)
+        assert envelope(params, 0.0) == 0.0 and isinstance(envelope(params, 0.0), float)
+        grid = np.array([[0.0, 1.0], [2.0, 0.5]])
+        assert envelope(params, grid).shape == (2, 2)
+        assert envelope(params, grid)[0, 0] == 0.0
+
     def test_outside_certified_range(self, std_rate):
         with pytest.raises(ValueError, match="outside certified range"):
             rate_coeff(std_rate, 1.5)

@@ -593,9 +593,11 @@ class TestCli:
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
+        # --out only to a verb that declares it; cost prints to stdout
         out = tmp_path / "out"
+        declared = [flag for flag, *_ in cli.OPTIONS[argv[0]][1]]
         with pytest.raises(SystemExit, match=reason):
-            main([*argv, "--out", str(out)])
+            main([*argv, *(["--out", str(out)] if "--out" in declared else [])])
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
@@ -631,6 +633,17 @@ class TestCli:
             main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")])
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "s").exists()
+
+    def test_cost_takes_no_out(self, tmp_path, capsys):
+        # cost prints its table to stdout: --out and an out= config line are refused
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text("out=elsewhere\n")
+        with pytest.raises(SystemExit, match=r"cost: config key 'out' in '.*cost\.cfg' names no"):
+            main(["cost", "--config", str(cfg)])
+        with pytest.raises(SystemExit) as info:
+            main(["cost", "--out", str(tmp_path / "o")])
+        assert info.value.code == 2 and "unrecognized arguments: --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cost.cfg"]
 
     @pytest.mark.parametrize("verb", ["rate", "sweep", "simulate", "verify", "cost"])
     def test_help_lists_every_default(self, capsys, verb):
