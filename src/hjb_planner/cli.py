@@ -174,9 +174,12 @@ def _run(args) -> int:
         setattr(args, key, value)
 
     if args.command == "rate":
-        grid = args.r_grid if args.r is None else np.asarray([args.r])
+        flag, grid = ("--r-grid", args.r_grid) if args.r is None else ("--r", np.asarray([args.r]))
         if grid is None:
             raise ValueError("provide --r or --r-grid")
+        bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+        if bad.size:  # before the kernel, whose range would name its own clamp
+            raise ValueError(f"{flag} needs finite radii r >= 0, got r = {float(bad[0])!r}")
         r_max = max(float(np.max(grid)), np.finfo(float).tiny)
         params = ModelParams(n_goods=args.n, sigma=args.sigma, radius=r_max)
         rate = build_rate(build_kernel(params, r_max=r_max))

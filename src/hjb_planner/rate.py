@@ -125,11 +125,21 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def radius_grid(r_grid) -> np.ndarray:
+    """r_grid as a 1-d float array, a scalar as one point; a grid of more
+    than one dimension is refused with a ValueError naming its shape."""
+    grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    if grid.ndim != 1:
+        raise ValueError(f"a radius grid must be one-dimensional, got shape {grid.shape}")
+    return grid
+
+
 def rate_table_chunks(kernel: SeriesKernel, r_grid) -> Iterator[str]:
     """(r, rho(r)) as CSV text with header ``r,rate`` and 17-digit floats,
-    in blocks of CHUNK_ROWS rows.  rho is evaluated over the whole grid
-    before the first block, so a refused radius raises here."""
-    grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    in blocks of CHUNK_ROWS rows.  The grid is read by radius_grid, and rho
+    is evaluated over all of it before the first block, so a refused grid
+    or radius raises here."""
+    grid = radius_grid(r_grid)
     values = np.atleast_1d(rate_coeff(kernel, grid))
     return itertools.chain(["r,rate\n"], column_blocks("%.17g,%.17g\n", grid, values))
 

@@ -21,9 +21,9 @@ range check, by the kernel's Horner pass over both of its sums at once.
 Exit and divergence come from one reduction per step, the largest |y|:
 no path exits while it is below R, and it is finite whenever every state
 is, so the full state is tested for non-finite values only when it is
-not, and once more after the horizon's last step.  Every row the loop
-keeps, a path's end or a traced row, is one record in a list in step
-order; results and traces are read from it once, after the loop.
+not, and once more after the horizon's last step.  A path's end stays in
+its row of the batch arrays, where no later step writes, and every result
+is gathered from there after the loop; only traced rows are copied out.
 """
 
 from __future__ import annotations
@@ -107,10 +107,11 @@ def _run_paths(
     Returns (tau, cost, exited, y_final, traces) with arrays aligned to
     path_indices; traces holds one array per path of the batch's first
     n_traced (n_traced >= 0), in batch order, with rows (t, y..., cost)
-    sampled every trace_stride steps and at the exit or the horizon.  Exits
-    keep the running rows in order, so the traced paths still running are
-    always the first rows.  Per-path arithmetic is elementwise, so results
-    do not depend on how the batch is chunked.
+    sampled every trace_stride steps and at the exit or the horizon.  An
+    exit moves its rows behind the running rows, which stay in order, so
+    the traced paths still running are always the first rows and each
+    path ends in the row where it stopped.  Per-path arithmetic is
+    elementwise, so results do not depend on how the batch is chunked.
 
     Raises:
         ValueError: if y0 does not have N components, the rate's
@@ -140,13 +141,10 @@ def _run_paths(
     y = np.tile(cfg.y0, (m, 1))
     cost = np.zeros(m)
     pos = np.arange(m)  # result slots of still-running paths
+    batch = y, cost, pos  # y, cost and pos become views of its running rows
+    t_end = np.empty(m)
     n_traces = live = min(n_traced, m)  # rows [0, live) are the traced running paths
-    # every row the loop keeps is one (step, slots, y, cost, ended) record,
-    # in step order: each path's end, at its exit or the horizon, and the
-    # traced rows still running at each trace_stride step.  An exit moves
-    # its rows behind the running ones, where no later step writes, so its
-    # record is a view, and y, cost and pos become views of the rows in front
-    records: list = []
+    traced: list = []  # (t, slots, y, cost) copies of the traced rows every trace_stride steps
 
     # noise comes in blocks of consecutive steps, one column per running
     # path: a block is scaled and laid out step-major once when drawn, so
@@ -169,14 +167,18 @@ def _run_paths(
             kept = (r < radius).nonzero()[0]
             order = np.concatenate((kept, (r >= radius).nonzero()[0]))
             y[:], cost[:], pos[:] = y.take(order, axis=0), cost.take(order), pos.take(order)
-            records.append((step, pos[kept.size :], y[kept.size :], cost[kept.size :], True))
+            # step * dt in a Python float, which turns inf without a numpy
+            # overflow warning should a huge dt overflow
+            t_end[kept.size : pos.size] = step * dt
             y, cost, pos = y[: kept.size], cost[: kept.size], pos[: kept.size]
             live = int(kept.searchsorted(live))
             r, block = r.take(kept), block.take(kept, axis=1)
             if kept.size == 0:
                 break
         if live and step % trace_stride == 0:
-            records.append((step, pos[:live].copy(), y[:live].copy(), cost[:live].copy(), False))
+            traced.append(
+                (np.full(live, step * dt), pos[:live].copy(), y[:live].copy(), cost[:live].copy())
+            )
         rho = _rho_unchecked(kernel, r)
         # (rho * rho + 1.0) * r * r * dt, in one buffer
         step_cost = np.multiply(rho, rho)
@@ -200,35 +202,23 @@ def _run_paths(
     else:
         if not np.isfinite(y).all():
             raise RuntimeError(_DIVERGED)
-        records.append((cfg.max_steps, pos, y, cost, True))
+        t_end[: pos.size] = cfg.max_steps * dt
 
-    t, slots, y_rows, cost_rows, ended = _joined(records, dt)
-    # every slot ends exactly once, and the horizon's record, if any, is the
-    # last, holding the pos.size paths still running
-    end_row = ended.nonzero()[0][np.argsort(slots[ended])]
-    tau, cost_total, y_final = t[end_row], cost_rows[end_row], y_rows[end_row]
-    exited = end_row < t.size - pos.size
+    # each slot's row; the rows behind the pos.size still running have exited
+    y, cost, pos_all = batch
+    row = np.empty(m, dtype=np.intp)
+    row[pos_all] = np.arange(m)
+    tau, cost_total, y_final, exited = t_end[row], cost[row], y[row], row >= pos.size
     traces = []
     if n_traces:
-        # each trace's rows in step order: a stable sort of the traced
-        # slots' rows by slot
-        traced = (slots < n_traces).nonzero()[0]
-        traced = traced[np.argsort(slots[traced], kind="stable")]
-        rows = np.column_stack((t[traced], y_rows[traced], cost_rows[traced]))
-        traces = np.split(rows, np.cumsum(np.bincount(slots[traced], minlength=n_traces))[:-1])
+        # the stride rows in step order, then the end rows: a stable sort by
+        # slot puts each trace's rows in step order
+        ends = np.arange(n_traces)
+        traced.append((tau[ends], ends, y_final[ends], cost_total[ends]))
+        t, slots, y, cost = map(np.concatenate, zip(*traced))
+        trace_rows = np.column_stack((t, y, cost))[np.argsort(slots, kind="stable")]
+        traces = np.split(trace_rows, np.cumsum(np.bincount(slots, minlength=n_traces))[:-1])
     return tau, cost_total, exited, y_final, traces
-
-
-def _joined(records, dt):
-    """Per-step records (step, slots, y, cost, ended) joined into arrays
-    with one entry per row: the time step * dt, the slot, y, cost and
-    ended."""
-    steps, slots, y, cost, ended = zip(*records)
-    sizes = [s.size for s in slots]
-    # step * dt in Python floats, which turn inf without a numpy overflow
-    # warning should a huge dt overflow
-    t = np.repeat([step * dt for step in steps], sizes)
-    return t, *(np.concatenate(v) for v in (slots, y, cost)), np.repeat(ended, sizes)
 
 
 def euler_path(

@@ -30,7 +30,7 @@ from .oracles import (
     verify_exact_4d,
 )
 from .params import ModelParams
-from .rate import build_rate, rate_coeff
+from .rate import build_rate, radius_grid, rate_coeff
 from .series import build_kernel, eval_u
 from .simulate import (
     SimConfig,
@@ -55,7 +55,8 @@ PICARD_BOUND_SLACK = 1e-9  # relative quadrature slack on the factorial envelope
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes of a rate sweep: goods counts x diffusions x radii grid."""
+    """Axes of a rate sweep: goods counts x diffusions x radii grid, the
+    grid read by radius_grid."""
 
     n_list: tuple
     sigma_list: tuple
@@ -63,7 +64,7 @@ class SweepSpec:
     output_dir: Path
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r_grid", np.asarray(self.r_grid, dtype=float))
+        object.__setattr__(self, "r_grid", radius_grid(self.r_grid))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if not self.n_list or not self.sigma_list or self.r_grid.size == 0:
             raise ValueError("sweep axes must be non-empty")

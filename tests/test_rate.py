@@ -23,6 +23,7 @@ from hjb_planner import (
     write_rate_table,
 )
 from hjb_planner.oracles import bessel_rate
+from hjb_planner.rate import rate_table_chunks
 from hjb_planner.series import HORNER_X_MAX, _horner, _log_sums
 
 RHO_AT_1_N2_SIGMA1 = 0.24249961258080194  # sigma^2 u'(1)/(1*u(1)) by brute force
@@ -386,3 +387,17 @@ def test_rate_table_export(tmp_path, std_rate):
     r0, rho0 = lines[1].split(",")
     assert float(r0) == 0.0 and float(rho0) == 0.0
     assert float(lines[-1].split(",")[1]) == rate_coeff(std_rate, 1.0)
+
+
+def test_rate_table_grid_shapes(tmp_path, std_rate):
+    # a scalar is one point; a grid of more than one dimension is refused
+    # before any file is made, not paired row by row
+    assert "".join(rate_table_chunks(std_rate, 0.5)) == (
+        f"r,rate\n0.5,{rate_coeff(std_rate, 0.5):.17g}\n"
+    )
+    out = tmp_path / "sub" / "rate.csv"
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        write_rate_table(std_rate, [[0.0, 0.5], [1.0, 2.0]], out)
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(1, 3\)"):
+        rate_table_chunks(std_rate, [[0.0, 0.5, 1.0]])
+    assert not (tmp_path / "sub").exists()

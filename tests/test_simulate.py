@@ -248,11 +248,22 @@ class TestOnePass:
             for i, trace in enumerate(batch_traces):
                 assert np.array_equal(trace[-1], [tau[i], *y_final[i], cost[i]])
         assert sum(len(b[4]) for b in batches) == len(traces)
+        exits_on_stride = False
         for pid in range(len(traces)):
             single = euler_path(rate, cfg, pid, record_trace=True, trace_stride=stride)
             assert traces[pid].dtype == np.float64
             assert np.array_equal(traces[pid], single.path_trace)
             assert single.cost == costs[pid] and single.exited == exited[pid]
+            # times strictly increase: every row but the last on a stride
+            # step, the last at the path's tau
+            t = traces[pid][:, 0]
+            assert np.all(np.diff(t) > 0)
+            assert np.array_equal(t[:-1], np.arange(t.size - 1) * stride * cfg.dt)
+            assert t[-1] == single.tau
+            exits_on_stride |= single.exited and round(single.tau / cfg.dt) % stride == 0
+        # wherever a traced path exits, one exits on a stride step, so a
+        # stride row kept at its exit would show as a repeated time
+        assert exits_on_stride == exited[: len(traces)].any()
         plain_costs, plain_exited, plain_traces = collect_costs(rate, cfg)
         assert np.array_equal(costs, plain_costs)
         assert np.array_equal(exited, plain_exited)

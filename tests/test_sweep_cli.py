@@ -155,6 +155,16 @@ class TestSweep:
             SweepSpec(n_list=(), sigma_list=(1.0,), r_grid=[1.0], output_dir=tmp_path)
         with pytest.raises(ValueError):
             SweepSpec(n_list=(2,), sigma_list=(1.0,), r_grid=[0.0], output_dir=tmp_path)
+        # a grid of more than one dimension is refused, not paired row by row
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            SweepSpec((2,), (1.0,), [[0.0, 0.5], [1.0, 2.0]], tmp_path)
+        # a scalar grid is one point
+        spec = SweepSpec((2,), (1.0,), 0.5, tmp_path)
+        assert spec.r_grid.shape == (1,)
+        table = sweep_rate(spec)
+        assert (tmp_path / "rate_sweep.csv").read_text().splitlines()[1:] == [
+            f"2,1,0.5,{table.cells[0][2][0]:.17g}"
+        ]
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, np.float64(2.0)])
     def test_spec_rejects_bad_goods_counts(self, tmp_path, n):
@@ -590,6 +600,16 @@ class TestCli:
              "hjb-planner cost: bad --r0 ',': want at least one value"),
             (["simulate", "--y0", ","],
              "hjb-planner simulate: bad --y0 ',': want at least one value"),
+            # a radius rate cannot take is named with its own flag, not the
+            # kernel's certified range or ModelParams' radius
+            (["rate", "--r", "-1"],
+             r"hjb-planner rate: --r needs finite radii r >= 0, got r = -1\.0$"),
+            (["rate", "--r", "nan"],
+             "hjb-planner rate: --r needs finite radii r >= 0, got r = nan$"),
+            (["rate", "--r", "inf"],
+             "hjb-planner rate: --r needs finite radii r >= 0, got r = inf$"),
+            (["rate", "--r-grid", "0:nan:3"],
+             "hjb-planner rate: --r-grid needs finite radii r >= 0, got r = nan$"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
