@@ -30,7 +30,7 @@ from .series import (
     eval_u_prime,
     expected_optimal_cost,
 )
-from .simulate import PathResult, SimConfig, euler_path, monte_carlo_cost
+from .simulate import PathBatch, SimConfig, euler_path, monte_carlo_cost
 from .sweep import SweepSpec, SweepTable, run_simulate, run_verify, sweep_rate
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "BoundReport",
     "BoundViolation",
     "ModelParams",
-    "PathResult",
+    "PathBatch",
     "RadialGridFn",
     "SeriesKernel",
     "SimConfig",

@@ -9,6 +9,7 @@ default.  A refused value ends the run in one line, `hjb-planner <verb>:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,10 +28,17 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected min:max:steps")
-    lo, hi, steps = parts
-    if int(steps) < 1:
+    steps = int(parts[2])
+    if steps < 1:
         raise ValueError("a grid needs at least one step")
-    return np.linspace(float(lo), float(hi), int(steps))
+    lo, hi = float(parts[0]), float(parts[1])
+    # a nan end passes on, to be refused with the radii it makes
+    for end in (lo, hi):
+        if math.isinf(end):
+            raise ValueError(f"a grid needs finite ends, got {end!r}")
+    if math.isinf(hi - lo):
+        raise ValueError(f"the span from {lo!r} to {hi!r} overflows")
+    return np.linspace(lo, hi, steps)
 
 
 def _parse_list(kind):

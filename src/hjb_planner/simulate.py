@@ -80,19 +80,35 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PathResult:
-    """One simulated path: exit time, accumulated cost, final state.
+class PathBatch:
+    """Per-path results of a batch, aligned with its path indices: exit
+    time, accumulated cost, exit flag and final state, plus the traces of
+    the batch's first paths.
 
-    tau is dt times the number of completed steps; exited is False when the
-    horizon ran out first (that is not an error, just truncation).
-    path_trace, when recorded, is an array with rows (t, y_1..y_N, cost).
+    tau is dt times the number of completed steps; exited is False where
+    the horizon ran out first (that is not an error, just truncation).
+    traces holds one array per traced path, in batch order, with rows
+    (t, y_1..y_N, cost).
     """
 
-    tau: float
-    cost: float
-    exited: bool
+    tau: np.ndarray
+    cost: np.ndarray
+    exited: np.ndarray
     y_final: np.ndarray
-    path_trace: np.ndarray | None = None
+    traces: list
+
+    def statistics(self) -> tuple[float, float, int]:
+        """(mean, stderr, n_exited) of cost over the exited paths; nan when
+        undefined."""
+        n_exited = int(np.count_nonzero(self.exited))
+        if n_exited == 0:
+            return math.nan, math.nan, 0
+        kept = self.cost[self.exited]
+        mean = float(np.mean(kept))
+        stderr = (
+            float(np.std(kept, ddof=1) / math.sqrt(n_exited)) if n_exited >= 2 else math.nan
+        )
+        return mean, stderr, n_exited
 
 
 def _run_paths(
@@ -101,17 +117,16 @@ def _run_paths(
     path_indices: np.ndarray,
     n_traced: int = 0,
     trace_stride: int = 1,
-):
+) -> PathBatch:
     """Vectorized Euler-Maruyama over a batch of paths.
 
-    Returns (tau, cost, exited, y_final, traces) with arrays aligned to
-    path_indices; traces holds one array per path of the batch's first
-    n_traced (n_traced >= 0), in batch order, with rows (t, y..., cost)
-    sampled every trace_stride steps and at the exit or the horizon.  An
-    exit moves its rows behind the running rows, which stay in order, so
-    the traced paths still running are always the first rows and each
-    path ends in the row where it stopped.  Per-path arithmetic is
-    elementwise, so results do not depend on how the batch is chunked.
+    Returns the PathBatch of path_indices; its traces are those of the
+    batch's first n_traced paths (n_traced >= 0), with rows sampled every
+    trace_stride steps and at the exit or the horizon.  An exit moves its
+    rows behind the running rows, which stay in order, so the traced paths
+    still running are always the first rows and each path ends in the row
+    where it stopped.  Per-path arithmetic is elementwise, so results do
+    not depend on how the batch is chunked.
 
     Raises:
         ValueError: if y0 does not have N components, the rate's
@@ -218,7 +233,7 @@ def _run_paths(
         t, slots, y, cost = map(np.concatenate, zip(*traced))
         trace_rows = np.column_stack((t, y, cost))[np.argsort(slots, kind="stable")]
         traces = np.split(trace_rows, np.cumsum(np.bincount(slots, minlength=n_traces))[:-1])
-    return tau, cost_total, exited, y_final, traces
+    return PathBatch(tau, cost_total, exited, y_final, traces)
 
 
 def euler_path(
@@ -227,24 +242,14 @@ def euler_path(
     path_index: int,
     record_trace: bool = False,
     trace_stride: int = 1,
-) -> PathResult:
-    """Simulate one path; fully determined by (cfg.seed, path_index)."""
+) -> PathBatch:
+    """Simulate one path, as a batch of one; fully determined by
+    (cfg.seed, path_index)."""
     path_index = exact_int("path_index", path_index)
     if path_index < 0 or path_index >= 2**64:
         raise ValueError("path_index must be a nonnegative 64-bit integer")
-    tau, cost, exited, y_final, traces = _run_paths(
-        kernel,
-        cfg,
-        np.asarray([path_index], dtype=np.uint64),
-        n_traced=int(record_trace),
-        trace_stride=trace_stride,
-    )
-    return PathResult(
-        tau=float(tau[0]),
-        cost=float(cost[0]),
-        exited=bool(exited[0]),
-        y_final=y_final[0],
-        path_trace=traces[0] if traces else None,
+    return _run_paths(
+        kernel, cfg, np.asarray([path_index], dtype=np.uint64), int(record_trace), trace_stride
     )
 
 
@@ -253,36 +258,25 @@ def collect_costs(
     cfg: SimConfig,
     n_traced: int = 0,
     trace_stride: int = 1,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Accumulated cost and exit flag for paths 0..n_paths-1, in index order,
-    and the traces of paths 0..n_traced-1 (as _run_paths returns them, one
-    array per path, in index order), recorded in the same pass."""
-    costs = np.empty(cfg.n_paths)
-    exited = np.empty(cfg.n_paths, dtype=bool)
-    traces: list = []
-    for start in range(0, cfg.n_paths, _CHUNK):
-        stop = min(start + _CHUNK, cfg.n_paths)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        _, chunk_cost, chunk_exited, _, chunk_traces = _run_paths(
-            kernel, cfg, idx, max(0, n_traced - start), trace_stride
+) -> PathBatch:
+    """The PathBatch of paths 0..n_paths-1, in index order, with the traces
+    of paths 0..n_traced-1 recorded in the same pass.  Paths run in chunks
+    of _CHUNK; several chunks are joined column by column."""
+    batches = [
+        _run_paths(
+            kernel,
+            cfg,
+            np.arange(start, min(start + _CHUNK, cfg.n_paths), dtype=np.uint64),
+            max(0, n_traced - start),
+            trace_stride,
         )
-        costs[start:stop] = chunk_cost
-        exited[start:stop] = chunk_exited
-        traces.extend(chunk_traces)
-    return costs, exited, traces
-
-
-def cost_statistics(costs: np.ndarray, exited: np.ndarray) -> tuple[float, float, int]:
-    """(mean, stderr, n_exited) over the exited paths; nan when undefined."""
-    n_exited = int(np.count_nonzero(exited))
-    if n_exited == 0:
-        return math.nan, math.nan, 0
-    kept = costs[exited]
-    mean = float(np.mean(kept))
-    stderr = (
-        float(np.std(kept, ddof=1) / math.sqrt(n_exited)) if n_exited >= 2 else math.nan
-    )
-    return mean, stderr, n_exited
+        for start in range(0, cfg.n_paths, _CHUNK)
+    ]
+    if len(batches) == 1:
+        return batches[0]
+    columns = ("tau", "cost", "exited", "y_final")
+    joined = [np.concatenate([getattr(b, name) for b in batches]) for name in columns]
+    return PathBatch(*joined, [trace for b in batches for trace in b.traces])
 
 
 def monte_carlo_cost(kernel: SeriesKernel, cfg: SimConfig) -> tuple[float, float, int]:
@@ -297,8 +291,7 @@ def monte_carlo_cost(kernel: SeriesKernel, cfg: SimConfig) -> tuple[float, float
     """
     if cfg.n_paths < 2:
         raise ValueError("n_paths must be >= 2 for a standard error")
-    costs, exited, _ = collect_costs(kernel, cfg)
-    mean, stderr, n_exited = cost_statistics(costs, exited)
+    mean, stderr, n_exited = collect_costs(kernel, cfg).statistics()
     if n_exited == 0:
         raise RuntimeError("no exits within horizon")
     return mean, stderr, n_exited

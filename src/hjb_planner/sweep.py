@@ -36,7 +36,6 @@ from .simulate import (
     SimConfig,
     _run_paths,  # unused here; perfbench/layers.py wraps sweep._run_paths by name
     collect_costs,
-    cost_statistics,
     write_mc_summary,
     write_trace,
 )
@@ -323,14 +322,14 @@ def run_simulate(
     # capped by the horizon; deterministic in (params, cfg) so reruns match
     exit_steps = min(3.0 * radius**2 / (n_goods * sigma**2) / cfg.dt, cfg.max_steps)
     stride = max(1, min(cfg.max_steps, int(exit_steps) + 1) // 2000)
-    costs, exited, traces = collect_costs(rate, cfg, n_trace_paths, stride)
-    mean, stderr, n_exited = cost_statistics(costs, exited)
+    batch = collect_costs(rate, cfg, n_trace_paths, stride)
+    mean, stderr, n_exited = batch.statistics()
     summary_path = out / "mc_summary.csv"
     write_mc_summary(summary_path, mean, stderr, n_exited, cfg)
 
     curves = []
     trace_files = []
-    for pid, arr in enumerate(traces):
+    for pid, arr in enumerate(batch.traces):
         t = arr[:, 0]
         norms = np.sqrt(np.sum(arr[:, 1 : 1 + n_goods] ** 2, axis=1))
         curves.append((t, norms))

@@ -18,6 +18,14 @@ from hjb_planner.simulate import (
 )
 
 
+COLUMNS = ("tau", "cost", "exited", "y_final")
+
+
+def assert_same_columns(a, b):
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def cfg_origin(n_paths=200, dt=1e-3, seed=42, max_steps=100_000, dim=2):
     return SimConfig(dt=dt, max_steps=max_steps, n_paths=n_paths, seed=seed, y0=np.zeros(dim))
 
@@ -58,12 +66,7 @@ class TestSimConfig:
 class TestEulerPath:
     def test_bitwise_deterministic(self, std_rate):
         cfg = cfg_origin()
-        a = euler_path(std_rate, cfg, 11)
-        b = euler_path(std_rate, cfg, 11)
-        assert a.tau == b.tau
-        assert a.cost == b.cost
-        assert a.exited == b.exited
-        assert np.array_equal(a.y_final, b.y_final)
+        assert_same_columns(euler_path(std_rate, cfg, 11), euler_path(std_rate, cfg, 11))
 
     def test_first_step_from_origin_is_pure_noise(self, std_rate):
         # p(0) = 0, so y(dt) = sigma sqrt(dt) Z exactly
@@ -71,39 +74,39 @@ class TestEulerPath:
         result = euler_path(std_rate, cfg, 4)
         z = normals(5, [4], 0, 2, 1)[0, 0]
         expected = math.sqrt(1e-3) * z
-        assert np.array_equal(result.y_final, expected)
-        assert not result.exited
-        assert result.tau == 1e-3  # one completed step
-        assert result.cost == 0.0  # left-endpoint cost at the origin is 0
+        assert np.array_equal(result.y_final[0], expected)
+        assert not result.exited[0]
+        assert result.tau[0] == 1e-3  # one completed step
+        assert result.cost[0] == 0.0  # left-endpoint cost at the origin is 0
+        assert result.traces == []
 
     def test_start_on_boundary_exits_immediately(self, std_rate):
         cfg = SimConfig(dt=1e-3, max_steps=10, n_paths=1, seed=1, y0=np.asarray([0.6, 0.8]))
         result = euler_path(std_rate, cfg, 0)
-        assert result.exited
-        assert result.tau == 0.0
-        assert result.cost == 0.0
-        assert np.linalg.norm(result.y_final) >= 1.0
+        assert result.exited[0]
+        assert result.tau[0] == 0.0
+        assert result.cost[0] == 0.0
+        assert np.linalg.norm(result.y_final[0]) >= 1.0
 
     def test_exit_state_beyond_boundary(self, std_rate):
         result = euler_path(std_rate, cfg_origin(), 3)
-        assert result.exited
-        assert np.linalg.norm(result.y_final) >= std_rate.params.radius
-        assert result.tau == pytest.approx(
-            1e-3 * round(result.tau / 1e-3), abs=1e-12
-        )  # dt times completed steps
+        tau = result.tau[0]
+        assert result.exited[0]
+        assert np.linalg.norm(result.y_final[0]) >= std_rate.params.radius
+        assert tau == pytest.approx(1e-3 * round(tau / 1e-3), abs=1e-12)  # dt times completed steps
 
     def test_trace_recording(self, std_rate):
         cfg = cfg_origin()
         result = euler_path(std_rate, cfg, 2, record_trace=True, trace_stride=5)
-        trace = result.path_trace
-        assert trace is not None and trace.shape[1] == 4  # t, y_1, y_2, cost
+        (trace,) = result.traces
+        assert trace.shape[1] == 4  # t, y_1, y_2, cost
         assert trace[0, 0] == 0.0
         assert np.all(np.diff(trace[:, 0]) > 0.0)
         assert np.all(np.diff(trace[:, 3]) >= 0.0)  # cost accumulates
         # last sample is the exit state, at or beyond the boundary
-        assert result.exited
+        assert result.exited[0]
         assert np.linalg.norm(trace[-1, 1:3]) >= 1.0
-        assert trace[-1, 0] == result.tau
+        assert trace[-1, 0] == result.tau[0]
 
     @pytest.mark.parametrize("stride", [0, -5])
     @pytest.mark.parametrize("entry", ["euler_path", "collect_costs"])
@@ -139,8 +142,8 @@ class TestEulerPath:
         # divergence
         cfg = SimConfig(dt=1e-3, max_steps=5, n_paths=1, seed=1, y0=np.asarray([1e200, 0.0]))
         result = euler_path(std_rate, cfg, 0)
-        assert result.exited and result.tau == 0.0 and result.cost == 0.0
-        assert np.array_equal(result.y_final, [1e200, 0.0])
+        assert result.exited[0] and result.tau[0] == 0.0 and result.cost[0] == 0.0
+        assert np.array_equal(result.y_final, [[1e200, 0.0]])
 
 
 class TestBatchEngine:
@@ -149,20 +152,17 @@ class TestBatchEngine:
         whole = _run_paths(std_rate, cfg, np.arange(10, dtype=np.uint64))
         first = _run_paths(std_rate, cfg, np.arange(5, dtype=np.uint64))
         second = _run_paths(std_rate, cfg, np.arange(5, 10, dtype=np.uint64))
-        for k in range(4):
-            merged = np.concatenate([first[k], second[k]])
-            assert np.array_equal(whole[k], merged)
+        for name in COLUMNS:
+            merged = np.concatenate([getattr(first, name), getattr(second, name)])
+            assert np.array_equal(getattr(whole, name), merged)
 
     def test_single_path_matches_batch(self, std_rate):
         cfg = cfg_origin(n_paths=6)
-        tau, cost, exited, y_final, _ = _run_paths(
-            std_rate, cfg, np.arange(6, dtype=np.uint64)
-        )
+        batch = _run_paths(std_rate, cfg, np.arange(6, dtype=np.uint64))
         for i in range(6):
             single = euler_path(std_rate, cfg, i)
-            assert single.tau == tau[i]
-            assert single.cost == cost[i]
-            assert np.array_equal(single.y_final, y_final[i])
+            for name in COLUMNS:
+                assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[i])
 
     def test_pinned_costs_are_bitwise_stable(self, std_rate):
         # exact floats of the one-step-at-a-time engine with rho as the
@@ -176,6 +176,25 @@ class TestBatchEngine:
         assert monte_carlo_cost(rate100, cfg100) == (
             0.004958740516553915, 6.0156829130218264e-05, 200,
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 100])
+    def test_diffusion_rescaling_scales_paths(self, n):
+        # claim (b) in the engine: with y = sigma s, rho(sigma s; sigma) =
+        # g_N(s), so every path at (N, sigma, R = sigma) is sigma times the
+        # same-noise path at (N, 1, 1): the same exit step, sigma^2 times
+        # its cost.  Bit for bit only where sigma is a power of two.
+        def batch(sigma):
+            rate = build_rate(build_kernel(ModelParams(n, sigma, sigma), r_max=sigma))
+            return collect_costs(rate, cfg_origin(n_paths=300, dt=2e-3, seed=5, dim=n))
+
+        unit = batch(1.0)
+        assert unit.exited.all()
+        for sigma in (0.25, 0.5, 2.0):
+            scaled = batch(sigma)
+            assert np.array_equal(scaled.tau, unit.tau)
+            assert np.array_equal(scaled.exited, unit.exited)
+            assert np.array_equal(scaled.cost, sigma**2 * unit.cost)
+            assert np.array_equal(scaled.y_final, sigma * unit.y_final)
 
     @pytest.mark.parametrize(
         "dim,y0_scale,max_steps,n_paths",
@@ -205,10 +224,9 @@ class TestBatchEngine:
         draws.clear()
         single = _run_paths(rate, cfg, idx, n_traced, trace_stride=3)
         assert {k for _, k in draws} == {1}
-        for a, b in zip(blocked[:4], single[:4]):
-            assert np.array_equal(a, b)
-        assert len(blocked[4]) == len(single[4]) == min(n_traced, n_paths)
-        for a, b in zip(blocked[4], single[4]):
+        assert_same_columns(blocked, single)
+        assert len(blocked.traces) == len(single.traces) == min(n_traced, n_paths)
+        for a, b in zip(blocked.traces, single.traces):
             assert np.array_equal(a, b)
 
 
@@ -241,33 +259,41 @@ class TestOnePass:
 
         with monkeypatch.context() as patch:
             patch.setattr(simulate_module, "_run_paths", recorded)
-            costs, exited, traces = collect_costs(rate, cfg, n_traced, stride)
+            joined = collect_costs(rate, cfg, n_traced, stride)
+        costs, exited, traces = joined.cost, joined.exited, joined.traces
         assert len(traces) == min(n_traced, n_paths)
         # a trace ends on its path's result row from the same batch
-        for tau, cost, _, y_final, batch_traces in batches:
-            for i, trace in enumerate(batch_traces):
-                assert np.array_equal(trace[-1], [tau[i], *y_final[i], cost[i]])
-        assert sum(len(b[4]) for b in batches) == len(traces)
+        for b in batches:
+            for i, trace in enumerate(b.traces):
+                assert np.array_equal(trace[-1], [b.tau[i], *b.y_final[i], b.cost[i]])
+        assert sum(len(b.traces) for b in batches) == len(traces)
+        # one chunk is returned as it is; several are joined column by
+        # column into what one batch over every index gives
+        assert (joined is batches[0]) == (len(batches) == 1)
+        whole = _run_paths(rate, cfg, np.arange(n_paths, dtype=np.uint64), n_traced, stride)
+        assert_same_columns(joined, whole)
+        assert len(whole.traces) == len(traces)
+        for a, b in zip(whole.traces, traces):
+            assert np.array_equal(a, b)
         exits_on_stride = False
         for pid in range(len(traces)):
             single = euler_path(rate, cfg, pid, record_trace=True, trace_stride=stride)
             assert traces[pid].dtype == np.float64
-            assert np.array_equal(traces[pid], single.path_trace)
-            assert single.cost == costs[pid] and single.exited == exited[pid]
+            assert np.array_equal(traces[pid], single.traces[0])
+            assert single.cost[0] == costs[pid] and single.exited[0] == exited[pid]
             # times strictly increase: every row but the last on a stride
             # step, the last at the path's tau
             t = traces[pid][:, 0]
             assert np.all(np.diff(t) > 0)
             assert np.array_equal(t[:-1], np.arange(t.size - 1) * stride * cfg.dt)
-            assert t[-1] == single.tau
-            exits_on_stride |= single.exited and round(single.tau / cfg.dt) % stride == 0
+            assert t[-1] == single.tau[0]
+            exits_on_stride |= single.exited[0] and round(single.tau[0] / cfg.dt) % stride == 0
         # wherever a traced path exits, one exits on a stride step, so a
         # stride row kept at its exit would show as a repeated time
         assert exits_on_stride == exited[: len(traces)].any()
-        plain_costs, plain_exited, plain_traces = collect_costs(rate, cfg)
-        assert np.array_equal(costs, plain_costs)
-        assert np.array_equal(exited, plain_exited)
-        assert plain_traces == []
+        plain = collect_costs(rate, cfg)
+        assert_same_columns(joined, plain)
+        assert plain.traces == []
         if max_steps == 37:
             assert not exited.all()
         if y0[0] == 1.0:
@@ -375,7 +401,7 @@ class TestMonteCarlo:
         cfg = SimConfig(
             dt=1e-3, max_steps=20_000, n_paths=400, seed=11, y0=np.asarray([0.95, 0.0])
         )
-        tau_controlled, *_ = _run_paths(rate, cfg, np.arange(400, dtype=np.uint64))
+        tau_controlled = _run_paths(rate, cfg, np.arange(400, dtype=np.uint64)).tau
 
         tau_null = np.full(400, cfg.max_steps * cfg.dt)
         y = np.tile(cfg.y0, (400, 1))

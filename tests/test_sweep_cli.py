@@ -610,6 +610,17 @@ class TestCli:
              "hjb-planner rate: --r needs finite radii r >= 0, got r = inf$"),
             (["rate", "--r-grid", "0:nan:3"],
              "hjb-planner rate: --r-grid needs finite radii r >= 0, got r = nan$"),
+            # refused before np.linspace, which would warn on an infinite
+            # end or an overflowing span
+            (["rate", "--r-grid", "0:inf:3"],
+             "hjb-planner rate: bad --r-grid '0:inf:3': a grid needs finite ends, got inf$"),
+            (["sweep", "--r-grid", "0:inf:3"],
+             "hjb-planner sweep: bad --r-grid '0:inf:3': a grid needs finite ends, got inf$"),
+            (["rate", "--r-grid=-inf:1:3"],
+             "hjb-planner rate: bad --r-grid '-inf:1:3': a grid needs finite ends, got -inf$"),
+            (["rate", "--r-grid=-1e308:1e308:3"],
+             r"hjb-planner rate: bad --r-grid '-1e308:1e308:3': "
+             r"the span from -1e\+308 to 1e\+308 overflows$"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
