@@ -9,7 +9,6 @@ default.  A refused value ends the run in one line, `hjb-planner <verb>:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .fileio import fmt
 from .params import ModelParams
-from .rate import build_rate, rate_table_chunks, write_rate_table
+from .rate import build_rate, radius_grid, rate_table_chunks, write_rate_table
 from .series import build_kernel, expected_optimal_cost
 from .simulate import SimConfig
 from .sweep import VERIFY_GRID_POINTS, VERIFY_N, VERIFY_RADIUS, VERIFY_SIGMA
@@ -25,19 +24,15 @@ from .sweep import SweepSpec, run_simulate, run_verify, simulation_params, sweep
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """min:max:steps as np.linspace radii, both ends checked by radius_grid
+    first: every radius between them is then finite and >= 0."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected min:max:steps")
     steps = int(parts[2])
     if steps < 1:
         raise ValueError("a grid needs at least one step")
-    lo, hi = float(parts[0]), float(parts[1])
-    # a nan end passes on, to be refused with the radii it makes
-    for end in (lo, hi):
-        if math.isinf(end):
-            raise ValueError(f"a grid needs finite ends, got {end!r}")
-    if math.isinf(hi - lo):
-        raise ValueError(f"the span from {lo!r} to {hi!r} overflows")
+    lo, hi = radius_grid([float(parts[0]), float(parts[1])])
     return np.linspace(lo, hi, steps)
 
 
@@ -76,14 +71,14 @@ OPTIONS = {
     "rate": ("evaluate the production-rate coefficient", (
         ("--n", int, 2, "number of good types"),
         ("--sigma", float, 1.0, "diffusion coefficient"),
-        ("--r", float, None, "single radius to evaluate"),
-        ("--r-grid", _parse_grid, None, "radius grid min:max:steps"),
+        ("--r", lambda text: radius_grid(float(text)), None, "single radius to evaluate"),
+        ("--r-grid", _parse_grid, None, "radius grid min:max:steps, both ends finite and >= 0"),
         ("--out", Path, None, "write rate_table.csv here instead of stdout"),
     )),
     "sweep": ("rate table over N x sigma x r", (
         ("--n", _parse_list(int), (2, 10, 100), "comma list of goods counts"),
         ("--sigma", _parse_list(float), (0.5, 1.0, 2.0), "comma list of diffusions"),
-        ("--r-grid", _parse_grid, "0:4:81", "radius grid min:max:steps"),
+        ("--r-grid", _parse_grid, "0:4:81", "radius grid min:max:steps, both ends finite and >= 0"),
         ("--out", Path, "out", "output directory"),
     )),
     "simulate": ("first-exit Monte Carlo run", (
@@ -182,12 +177,9 @@ def _run(args) -> int:
         setattr(args, key, value)
 
     if args.command == "rate":
-        flag, grid = ("--r-grid", args.r_grid) if args.r is None else ("--r", np.asarray([args.r]))
+        grid = args.r_grid if args.r is None else args.r
         if grid is None:
             raise ValueError("provide --r or --r-grid")
-        bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
-        if bad.size:  # before the kernel, whose range would name its own clamp
-            raise ValueError(f"{flag} needs finite radii r >= 0, got r = {float(bad[0])!r}")
         r_max = max(float(np.max(grid)), np.finfo(float).tiny)
         params = ModelParams(n_goods=args.n, sigma=args.sigma, radius=r_max)
         rate = build_rate(build_kernel(params, r_max=r_max))

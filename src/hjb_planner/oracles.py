@@ -86,16 +86,33 @@ class RadialGridFn:
     series_points: int | None = None  # ode: grid points filled from the local series
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
+        r = _radial_grid(self.r)
         v = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape:
-            raise ValueError("grid and values must be matching 1-D arrays")
-        if r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
-            raise ValueError("grid must be strictly increasing and start at 0")
+        if v.shape != r.shape:
+            raise ValueError(f"values of shape {v.shape} do not match the grid's {r.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("profile values must be finite")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
+
+
+def _radial_grid(grid, r_max: float = math.inf) -> np.ndarray:
+    """grid as a 1-D float array, refused with a ValueError naming its shape
+    or its first bad point unless it is non-empty, finite and strictly
+    increasing from 0 to at most r_max.  Shares no code with rate.radius_grid."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D array, got shape {grid.shape}")
+    ok = np.isfinite(grid) & (grid <= r_max)
+    ok[0] &= grid[0] == 0.0
+    ok[1:] &= grid[1:] > grid[:-1]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"grid must be finite and strictly increasing from 0 within [0, {r_max!r}], "
+            f"got r = {float(grid[i])!r} at index {i}"
+        )
+    return grid
 
 
 def _refine(grid: np.ndarray, per_interval: int) -> np.ndarray:
@@ -242,14 +259,12 @@ def picard_solve(params: ModelParams, grid) -> RadialGridFn:
             and the last level tried; "Picard iteration cannot converge on
             any refinement level" when every level up to the last is too
             coarse.
+        ValueError: for a grid _radial_grid refuses within [0, radius], or
+            of fewer than 2 points, before any level runs.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be 1-D, strictly increasing, starting at 0")
-    if grid[-1] > params.radius:
-        raise ValueError(
-            f"grid must stay within [0, radius={params.radius}], got largest point {grid[-1]}"
-        )
+    grid = _radial_grid(grid, params.radius)
+    if grid.size < 2:
+        raise ValueError("picard_solve needs a grid of at least 2 points")
 
     levels: list = []  # (U_L, successive differences) of consecutive levels, finest last
     prev_r = None
@@ -323,6 +338,7 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
             logarithmic-derivative route instead); "radial ODE integration
             failed" naming LSODA's message when it refuses, in place of
             odeint's ODEintWarning.
+        ValueError: for a grid _radial_grid refuses within [0, r_max].
     """
     from scipy.integrate import ODEintWarning, odeint
 
@@ -335,14 +351,7 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
             "direct integration range exceeded (u would overflow; "
             "use the logarithmic-derivative path)"
         )
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0) or grid[-1] > r_max:
-        raise ValueError(
-            f"grid must be strictly increasing from 0 within [0, r_max={r_max}], "
-            f"got ends {grid[0]} and {grid[-1]}"
-        )
+    grid = _radial_grid(grid, r_max)
 
     # a_0..a_4 of u = sum_j a_j x^j; a_4 is the first term left out
     a = [1.0]

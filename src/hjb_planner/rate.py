@@ -110,27 +110,27 @@ def envelope(params: ModelParams, r) -> float | np.ndarray:
         ValueError: naming the first negative or non-finite radius.
     """
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
-    if bad.size:
-        raise ValueError(f"envelope needs finite radii r >= 0, got r = {float(bad[0])!r}")
+    flat = radius_grid(arr.ravel())
     n = params.n_goods
     sigma2 = params.sigma**2
-    out = np.zeros(arr.shape)
-    pos = arr > 0.0
-    rp = arr[pos]
+    out = np.zeros(flat.shape)
+    pos = flat > 0.0
+    rp = flat[pos]
     root = np.hypot(n / rp, 2.0 * rp / sigma2)
     out[pos] = 2.0 * rp / (sigma2 * (root + n / rp))
-    return float(out[0]) if scalar else out
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def radius_grid(r_grid) -> np.ndarray:
-    """r_grid as a 1-d float array, a scalar as one point; a grid of more
-    than one dimension is refused with a ValueError naming its shape."""
+    """r_grid as a 1-d float array, a scalar as one point: the one check
+    that radii are finite and >= 0.  A ValueError names the shape of a grid
+    of more than one dimension, or the first negative or non-finite radius."""
     grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if grid.ndim != 1:
         raise ValueError(f"a radius grid must be one-dimensional, got shape {grid.shape}")
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise ValueError(f"radii must be finite and >= 0, got r = {float(bad[0])!r}")
     return grid
 
 
@@ -140,7 +140,7 @@ def rate_table_chunks(kernel: SeriesKernel, r_grid) -> Iterator[str]:
     is evaluated over all of it before the first block, so a refused grid
     or radius raises here."""
     grid = radius_grid(r_grid)
-    values = np.atleast_1d(rate_coeff(kernel, grid))
+    values = rate_coeff(kernel, grid)
     return itertools.chain(["r,rate\n"], column_blocks("%.17g,%.17g\n", grid, values))
 
 

@@ -67,8 +67,6 @@ class SweepSpec:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if not self.n_list or not self.sigma_list or self.r_grid.size == 0:
             raise ValueError("sweep axes must be non-empty")
-        if np.any(self.r_grid < 0) or not np.all(np.isfinite(self.r_grid)):
-            raise ValueError("r grid must be finite and nonnegative")
         r_max = float(np.max(self.r_grid))
         if r_max <= 0.0:
             raise ValueError("r grid needs at least one positive radius")
@@ -138,7 +136,7 @@ def sweep_rate(spec: SweepSpec) -> SweepTable:
             notes.append(f"skipped cell N={n} sigma={s!r}: {exc}\n")
             cells.append((n, s, None))
             continue
-        values = np.atleast_1d(rate_coeff(build_rate(kernel), spec.r_grid))
+        values = rate_coeff(build_rate(kernel), spec.r_grid)
         values.flags.writeable = False
         cells.append((n, s, values))
     radii = spec.r_grid.copy()
@@ -197,7 +195,7 @@ def run_verify(
     bound_parts = ["N,sigma,radius,r,bound_name,margin\n"]
     min_margin = math.inf
     for n, s, radius, params, grid, kernel in cells:
-        series_vals = np.atleast_1d(eval_u(kernel, grid))
+        series_vals = eval_u(kernel, grid)
         try:
             ode = ode_solve(params, radius, grid=grid)
             picard = picard_solve(params, grid)

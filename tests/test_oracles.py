@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from hjb_planner import (
     BoundViolation,
@@ -22,6 +23,12 @@ from hjb_planner import (
 from hjb_planner.oracles import bessel_rate, quotient_coeffs
 
 GRID = np.linspace(0.0, 1.0, 200)
+# grids with a non-finite point, and the refusal naming it
+NONFINITE_GRIDS = [
+    ([0.0, math.nan, 1.0], "nan at index 1"),
+    ([0.0, 0.5, math.nan], "nan at index 2"),
+    ([0.0, 0.5, math.inf], "inf at index 2"),
+]
 
 
 def _series_start(n, sigma):
@@ -126,7 +133,7 @@ class TestPicard:
         with pytest.raises(RuntimeError, match="Picard not converged after 2 iterations"):
             picard_solve(ModelParams(1, 0.5, 2.0), np.linspace(0, 2, 50))
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, monkeypatch):
         p = ModelParams(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             picard_solve(p, np.asarray([0.5, 1.0]))  # must start at 0
@@ -134,10 +141,19 @@ class TestPicard:
             picard_solve(p, np.asarray([0.0, 0.5, 0.5]))  # not strictly increasing
         with pytest.raises(ValueError):
             picard_solve(p, np.linspace(0, 2, 10))  # beyond the radius
+        # a non-finite point is named before any refinement level runs, and
+        # the profile type refuses the same grid
+        monkeypatch.setattr(oracles, "_picard_once", None)
+        for grid, named in NONFINITE_GRIDS:
+            with pytest.raises(ValueError, match=rf"^grid must be finite .*, got r = {named}$"):
+                picard_solve(p, grid)
+            with pytest.raises(ValueError, match=rf"within \[0, inf\], got r = {named}$"):
+                oracles.RadialGridFn(grid, np.ones(3))
 
     def test_range_refusal_names_largest_point(self):
-        with pytest.raises(ValueError, match=r"radius=1\.0\], got largest point 2\.0"):
-            picard_solve(ModelParams(2, 1.0, 1.0), np.linspace(0, 2, 10))
+        # the first point past the radius is named, here also the largest
+        with pytest.raises(ValueError, match=r"within \[0, 1\.0\], got r = 2\.0 at index 2$"):
+            picard_solve(ModelParams(2, 1.0, 1.0), np.array([0.0, 1.0, 2.0]))
 
 
 class TestOdeSolve:
@@ -241,11 +257,16 @@ class TestOdeSolve:
         assert got.series_points == np.count_nonzero(grid <= 0.5) == 101
         assert got.nfev > 0
 
-    def test_grid_refusal_names_r_max_and_ends(self):
-        with pytest.raises(ValueError, match=r"r_max=1\.0\], got ends 0\.0 and 1\.5"):
+    def test_grid_refusal_names_r_max_and_ends(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"within \[0, 1\.0\], got r = 1\.5 at index 1$"):
             ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[0.0, 1.5])
         with pytest.raises(ValueError, match="non-empty"):
             ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[])
+        # a non-finite point is named before odeint is called
+        monkeypatch.setattr(scipy.integrate, "odeint", None)
+        for grid, named in NONFINITE_GRIDS:
+            with pytest.raises(ValueError, match=rf"within \[0, 1\.0\], got r = {named}$"):
+                ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=grid)
 
     def test_origin_only_grid(self):
         got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=[0.0])

@@ -162,11 +162,20 @@ class TestRateCoeff:
         ],
         ids=["nan", "negative", "inf", "neg-subnormal", "array-nan", "array-first", "2d-neg-inf"],
     )
-    def test_envelope_refuses_bad_radii(self, r, named):
-        # scalar and array radii alike; the first bad value is named
-        reason = rf"envelope needs finite radii r >= 0, got r = {named}$"
-        with pytest.raises(ValueError, match=reason):
-            envelope(ModelParams(2, 1.0, 1.0), r)
+    def test_envelope_refuses_bad_radii(self, r, named, std_rate, tmp_path):
+        # scalar and array radii alike, also as one row of a 2-d envelope
+        # and as a rate table's grid; the first bad value is named and no
+        # table is written
+        reason = rf"radii must be finite and >= 0, got r = {named}$"
+        out = tmp_path / "rate.csv"
+        for refused in (
+            lambda: envelope(ModelParams(2, 1.0, 1.0), r),
+            lambda: envelope(ModelParams(2, 1.0, 1.0), np.reshape(r, (1, -1))),
+            lambda: write_rate_table(std_rate, np.ravel(r), out),
+        ):
+            with pytest.raises(ValueError, match=reason):
+                refused()
+        assert not out.exists()
 
     def test_envelope_keeps_shape_and_origin(self):
         params = ModelParams(2, 1.0, 1.0)

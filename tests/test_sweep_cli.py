@@ -158,6 +158,10 @@ class TestSweep:
         # a grid of more than one dimension is refused, not paired row by row
         with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
             SweepSpec((2,), (1.0,), [[0.0, 0.5], [1.0, 2.0]], tmp_path)
+        # the first negative or non-finite radius is named
+        for bad in (math.nan, math.inf, -1.0, -5e-324):
+            with pytest.raises(ValueError, match=f"finite and >= 0, got r = {re.escape(repr(bad))}$"):
+                SweepSpec((2,), (1.0,), [0.0, 1.0, bad, math.nan], tmp_path)
         # a scalar grid is one point
         spec = SweepSpec((2,), (1.0,), 0.5, tmp_path)
         assert spec.r_grid.shape == (1,)
@@ -600,27 +604,43 @@ class TestCli:
              "hjb-planner cost: bad --r0 ',': want at least one value"),
             (["simulate", "--y0", ","],
              "hjb-planner simulate: bad --y0 ',': want at least one value"),
-            # a radius rate cannot take is named with its own flag, not the
-            # kernel's certified range or ModelParams' radius
+            # a radius either verb cannot take is refused by radius_grid where
+            # its flag is parsed, naming the flag and the first bad radius;
+            # a grid's ends are checked before np.linspace, which would warn
+            # on an infinite end
             (["rate", "--r", "-1"],
-             r"hjb-planner rate: --r needs finite radii r >= 0, got r = -1\.0$"),
+             r"hjb-planner rate: bad --r '-1': radii must be finite and >= 0, got r = -1\.0$"),
             (["rate", "--r", "nan"],
-             "hjb-planner rate: --r needs finite radii r >= 0, got r = nan$"),
+             "hjb-planner rate: bad --r 'nan': radii must be finite and >= 0, got r = nan$"),
             (["rate", "--r", "inf"],
-             "hjb-planner rate: --r needs finite radii r >= 0, got r = inf$"),
+             "hjb-planner rate: bad --r 'inf': radii must be finite and >= 0, got r = inf$"),
             (["rate", "--r-grid", "0:nan:3"],
-             "hjb-planner rate: --r-grid needs finite radii r >= 0, got r = nan$"),
-            # refused before np.linspace, which would warn on an infinite
-            # end or an overflowing span
+             "hjb-planner rate: bad --r-grid '0:nan:3': radii must be finite and >= 0, got r = nan$"),
             (["rate", "--r-grid", "0:inf:3"],
-             "hjb-planner rate: bad --r-grid '0:inf:3': a grid needs finite ends, got inf$"),
+             "hjb-planner rate: bad --r-grid '0:inf:3': radii must be finite and >= 0, got r = inf$"),
             (["sweep", "--r-grid", "0:inf:3"],
-             "hjb-planner sweep: bad --r-grid '0:inf:3': a grid needs finite ends, got inf$"),
+             "hjb-planner sweep: bad --r-grid '0:inf:3': radii must be finite and >= 0, got r = inf$"),
             (["rate", "--r-grid=-inf:1:3"],
-             "hjb-planner rate: bad --r-grid '-inf:1:3': a grid needs finite ends, got -inf$"),
+             "hjb-planner rate: bad --r-grid '-inf:1:3': radii must be finite and >= 0, got r = -inf$"),
             (["rate", "--r-grid=-1e308:1e308:3"],
              r"hjb-planner rate: bad --r-grid '-1e308:1e308:3': "
-             r"the span from -1e\+308 to 1e\+308 overflows$"),
+             r"radii must be finite and >= 0, got r = -1e\+308$"),
+            # a negative value only in the = form: argparse reads -1:1:3 or
+            # -5e-324 as a flag
+            (["rate", "--r=-5e-324"],
+             "hjb-planner rate: bad --r '-5e-324': radii must be finite and >= 0, got r = -5e-324$"),
+            (["rate", "--r-grid=-1:1:3"],
+             r"hjb-planner rate: bad --r-grid '-1:1:3': radii must be finite and >= 0, got r = -1\.0$"),
+            (["rate", "--r-grid=-5e-324:1:3"],
+             "hjb-planner rate: bad --r-grid '-5e-324:1:3': "
+             "radii must be finite and >= 0, got r = -5e-324$"),
+            (["sweep", "--r-grid", "0:nan:3"],
+             "hjb-planner sweep: bad --r-grid '0:nan:3': radii must be finite and >= 0, got r = nan$"),
+            (["sweep", "--r-grid=-1:1:3"],
+             r"hjb-planner sweep: bad --r-grid '-1:1:3': radii must be finite and >= 0, got r = -1\.0$"),
+            (["sweep", "--r-grid=-5e-324:1:3"],
+             "hjb-planner sweep: bad --r-grid '-5e-324:1:3': "
+             "radii must be finite and >= 0, got r = -5e-324$"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
