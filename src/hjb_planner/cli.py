@@ -104,7 +104,8 @@ OPTIONS = {
         ("--n", int, 2, "number of good types"),
         ("--sigma", float, 1.0, "diffusion coefficient"),
         ("--radius", float, 1.0, "stopping radius"),
-        ("--r0", _parse_list(float), (0.0,), "comma list of start radii"),
+        ("--r0", lambda text: radius_grid(_parse_list(float)(text)), "0",
+         "comma list of start radii, each finite and >= 0"),
     )),
 }
 
@@ -219,7 +220,7 @@ def _run(args) -> int:
     # cost
     params = ModelParams(n_goods=args.n, sigma=args.sigma, radius=args.radius)
     kernel = build_kernel(params, r_max=args.radius)
-    costs = [float(expected_optimal_cost(kernel, r0)) for r0 in args.r0]
+    costs = expected_optimal_cost(kernel, args.r0)
     print("r0,cost")
     for r0, cost in zip(args.r0, costs):
         print(f"{fmt(r0)},{fmt(cost)}")

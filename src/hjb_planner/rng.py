@@ -8,7 +8,9 @@ turned into two doubles and then two normals by Box-Muller.  Paths can
 therefore be simulated in any order, in any batch shape, or re-run in
 isolation, and always see identical noise.  Every call draws a block of
 consecutive steps, shape (paths, steps, components); for the same reason
-its rows are bit for bit the draws of the single steps.
+its rows are bit for bit the draws of the single steps.  normals checks
+none of its arguments: its one caller, the Euler loop of simulate, passes
+only values that the package's entry points have already accepted.
 
 Before round 1 each counter word varies along one axis of the block only
 (step, path or component pair), so round 1 runs on those broadcast words
@@ -25,8 +27,6 @@ as 1, 2, 3" (SC 2011).
 from __future__ import annotations
 
 import numpy as np
-
-from .params import exact_int
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -104,10 +104,13 @@ def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -
     are (step, path low 32, pair, path high 32) and the key words are the
     seed halves; pair enumerates component pairs, which Box-Muller maps to
     components (2k, 2k+1).  Row k of a block is therefore bit for bit the
-    draw of step + k alone.  A scalar that is not an exact integer, or a
-    path_index that is not nonnegative integers, is refused with a
-    ValueError naming it: 1.5 would share the stream of 1, and -1 that of
-    2**64 - 1.
+    draw of step + k alone.
+
+    The arguments are trusted, not checked: seed is an int in [0, 2**64),
+    path_index holds ints in [0, 2**64), n_components and n_steps are
+    >= 1, and step + n_steps <= 2**32.  The Euler loop meets this because
+    the entry points refuse anything else: SimConfig the seed and
+    max_steps, ModelParams N, and euler_path the path index.
 
     Paths are drawn in groups of as many as fit in _PASS_BLOCKS Philox
     blocks, at least one.  In each group, Philox round 1 runs on the
@@ -116,25 +119,7 @@ def normals(seed: int, path_index, step: int, n_components: int, n_steps: int) -
     becomes a double as hi * 2**32 + lo, and the scratch and consumed word
     buffers are reused as the float scratch of Box-Muller.
     """
-    seed = exact_int("seed", seed)
-    step = exact_int("step", step)
-    n_components = exact_int("n_components", n_components)
-    n_steps = exact_int("n_steps", n_steps)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if step < 0 or step + n_steps > 2**32:
-        raise ValueError("steps must fit in 32 bits")
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
-    paths = np.asarray(path_index)
-    if paths.dtype.kind not in "iu":  # ints on both sides of 2^63 come out float64
-        exact = [exact_int("path_index", p) for p in np.asarray(path_index, dtype=object).flat]
-        paths = np.array(exact, dtype=object)
-    if paths.dtype.kind != "u" and (paths < 0).any():  # would wrap onto paths near 2^64
-        raise ValueError("path_index must be nonnegative")
-    paths = np.atleast_1d(paths).astype(np.uint64, copy=False)
+    paths = np.atleast_1d(np.asarray(path_index, dtype=np.uint64))
     n_pairs = (n_components + 1) // 2
 
     # the word buffers are allocated once and reused by every group

@@ -27,6 +27,17 @@ def test_raising_chunk_iterator_leaves_target_unchanged(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_failed_replace_is_named_and_leaves_no_temp_file(tmp_path):
+    # the target is a directory: the temp file is written, the rename fails
+    target = tmp_path / "table.csv"
+    target.mkdir()
+    with pytest.raises(OSError, match=r"^failed writing .*table\.csv: ") as excinfo:
+        atomic_write_text(target, "a,b\n")
+    assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
 def test_chunks_and_str_write_the_same_bytes(tmp_path):
     parts = ["x\n", "", "1,2\n" * 3, "tail"]
     one = atomic_write_text(tmp_path / "one.txt", "".join(parts))

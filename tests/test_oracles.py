@@ -141,6 +141,15 @@ class TestPicard:
             picard_solve(p, np.asarray([0.0, 0.5, 0.5]))  # not strictly increasing
         with pytest.raises(ValueError):
             picard_solve(p, np.linspace(0, 2, 10))  # beyond the radius
+        with pytest.raises(ValueError, match="needs a grid of at least 2 points"):
+            picard_solve(p, np.asarray([0.0]))  # the origin alone
+        # the profile type also refuses values that do not fit its grid
+        grid = np.asarray([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match=r"values of shape \(2,\) do not match the grid's \(3,\)"):
+            oracles.RadialGridFn(grid, np.ones(2))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="profile values must be finite"):
+                oracles.RadialGridFn(grid, [1.0, bad, 2.0])
         # a non-finite point is named before any refinement level runs, and
         # the profile type refuses the same grid
         monkeypatch.setattr(oracles, "_picard_once", None)
@@ -220,6 +229,23 @@ class TestOdeSolve:
             with pytest.raises(RuntimeError) as excinfo:
                 ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
         assert str(excinfo.value) == f"radial ODE integration failed: {refusing_odeint}"
+
+    def test_other_warning_passes_on(self, monkeypatch):
+        # only an ODEintWarning is a refusal: any other warning odeint gives
+        # reaches the caller once, and the values stand
+        want = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
+        odeint = scipy.integrate.odeint
+
+        def warning_odeint(*args, **kwargs):
+            warnings.warn("stub: not a refusal", UserWarning)
+            return odeint(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "odeint", warning_odeint)
+        with pytest.warns(UserWarning, match="stub: not a refusal") as record:
+            got = ode_solve(ModelParams(2, 1.0, 1.0), 1.0, grid=GRID)
+        assert len(record) == 1
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.nfev == want.nfev
 
     @pytest.mark.parametrize("n", [300, 1000])
     def test_large_n_matches_series(self, n):

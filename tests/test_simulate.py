@@ -44,6 +44,8 @@ class TestSimConfig:
             dict(dt=1e-3, max_steps=10, n_paths=2, seed=1, y0=[0.0, np.nan]),
             dict(dt=1e-3, max_steps=10.5, n_paths=2, seed=1, y0=[0.0, 0.0]),
             dict(dt=1e-3, max_steps=10, n_paths=2.0, seed=1, y0=[0.0, 0.0]),
+            dict(dt=1e-3, max_steps=10, n_paths=2, seed=2.5, y0=[0.0, 0.0]),
+            dict(dt=1e-3, max_steps=2**32, n_paths=2, seed=1, y0=[0.0, 0.0]),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -56,6 +58,10 @@ class TestSimConfig:
         # truncated, path 1.5 would run path 1
         with pytest.raises(ValueError, match=r"path_index must be an integer, got 1\.5"):
             euler_path(std_rate, cfg_origin(n_paths=2), 1.5)
+        # nor may an index outside 64 bits wrap onto another path's stream
+        for path_index in (-1, 2**64):
+            with pytest.raises(ValueError, match="path_index must be a nonnegative 64-bit integer"):
+                euler_path(std_rate, cfg_origin(n_paths=2), path_index)
 
     def test_dimension_mismatch_detected(self, std_rate):
         cfg = cfg_origin(dim=3)

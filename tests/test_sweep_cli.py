@@ -641,6 +641,14 @@ class TestCli:
             (["sweep", "--r-grid=-5e-324:1:3"],
              "hjb-planner sweep: bad --r-grid '-5e-324:1:3': "
              "radii must be finite and >= 0, got r = -5e-324$"),
+            # cost's start radii go through the same rule, not the kernel's
+            # range check or the boundary test
+            (["cost", "--r0", "nan"],
+             "hjb-planner cost: bad --r0 'nan': radii must be finite and >= 0, got r = nan$"),
+            (["cost", "--r0", "inf"],
+             "hjb-planner cost: bad --r0 'inf': radii must be finite and >= 0, got r = inf$"),
+            (["cost", "--r0=-5e-324"],
+             "hjb-planner cost: bad --r0 '-5e-324': radii must be finite and >= 0, got r = -5e-324$"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
