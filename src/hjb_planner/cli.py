@@ -153,11 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one verb; a refused value exits with one line, not a traceback."""
+    """Run one verb; a refused value or a failed write exits with one line,
+    not a traceback."""
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"hjb-planner {args.command}: {exc}") from None
 
 

@@ -38,18 +38,20 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Pat
     """Write text, a str or an iterable of str chunks, to path via a temp
     file + rename, so readers never see a partial file.  Each chunk is
     written as it arrives; if the iterable raises, the temp file is removed
-    and an existing file at path is left as it was."""
+    and an existing file at path is left as it was.  Any OSError, from
+    creating path's directory on, is raised as one naming path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines((text,) if isinstance(text, str) else text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -17,16 +17,18 @@ series evaluation:
   envelope (1/(k+1)!) (R^4/(4 sigma^4 (N+2)))^(k+1), which doubles as a
   convergence certificate.
 
-* ode_solve: direct integration of the second-order radial ODE with LSODA
-  (Hindmarsh, ODEPACK, 1983; Petzold, SIAM J. Sci. Stat. Comput. 4, 1983),
-  which switches between Adams and BDF steps as the stiffness demands;
-  usable wherever u itself stays inside double range.  scipy's odeint runs
-  the whole integration inside ODEPACK, entering Python only for the
-  right-hand side.  A four-term local series built from the ODE's own
-  coefficient recurrence fills the grid points up to a radius r0 and gives
-  the initial values at r0/2, where the integration starts, so the
-  integrator never steps through the singular (N-1)/r stretch next to the
-  origin.  A refusal by LSODA is raised as a RuntimeError naming it.
+* ode_solve: direct integration of the radial ODE, linear in y = (u, u'),
+  y' = A(r) y, by sixth-order Magnus exponentials (Iserles & Norsett,
+  Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep.
+  470, 2009): each step's 2x2 propagator is formed in closed form for all
+  steps at once, and the propagators are composed by a prefix product;
+  usable wherever u itself stays inside double range.  A four-term local
+  series built from the ODE's own coefficient recurrence fills the grid
+  points up to a radius r0 and gives the initial values at r0/2, where the
+  integration starts, so no step spans the singular (N-1)/r stretch next
+  to the origin.  The mesh is solved twice, the second time with every
+  step halved; two levels that disagree raise a RuntimeError naming the
+  gap, and agreeing ones are combined by Richardson extrapolation.
 
 * verify_exact_4d: two closed-form four-dimensional solutions
   exp(+-r^2/(2 sigma^2)) / r^2 whose ODE residual is algebraically zero,
@@ -43,14 +45,12 @@ recurrence between Amos's bounds that refuses if the bracket stays open.
 check_bounds sweeps the growth/slope/rate inequalities the kernel must
 satisfy and reports a signed relative margin per grid point.
 
-scipy is imported inside ode_solve only, so importing the package (and
-every CLI verb but verify) loads no scipy module.
+The package imports no scipy module.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,8 +69,10 @@ _PICARD_MAX_CONTRACTION = 0.5  # spectral radius from which a level is too coars
 _MAX_REFINE_DOUBLINGS = 14
 _OVERFLOW_LOG_LIMIT = 645.0  # ln of the largest double, with headroom
 _START_REL = 1e-18  # largest relative size of the first omitted term at r0
-_ODE_RTOL = 1e-13
-_ODE_MXSTEP = 1_000_000  # LSODA steps allowed between two output points
+_STIFF_STEP = 1.0  # ODE steps h <= this * r / N, for the (N-1)/r term
+_GROWTH_STEP = 0.1  # and h <= this * sigma^2 / (r + sigma), for the growth rate r / sigma^2
+_ODE_LEVEL_GAP = 1e-8  # largest relative gap allowed between the mesh and its halving
+_GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # on [0, 1]
 _BESSEL_GAP = 1e-15  # widest relative bracket bessel_rate returns, a few ulp
 
 
@@ -82,7 +84,7 @@ class RadialGridFn:
     values: np.ndarray
     sup_diffs: tuple[float, ...] | None = None  # picard successive sup-differences
     refinement_level: int | None = None  # picard: level the refinement stopped at
-    nfev: int | None = None  # ode: right-hand-side evaluations
+    nfev: int | None = None  # ode: evaluations of A(r), both mesh levels
     series_points: int | None = None  # ode: grid points filled from the local series
 
     def __post_init__(self) -> None:
@@ -310,6 +312,79 @@ def picard_step_bound(params: ModelParams, r: float, k: int) -> float:
     return 1.0 / math.factorial(k + 1) * q ** (k + 1)
 
 
+def _mat_mul(x, y):
+    """Products of stacked 2x2 matrices of shape (2, 2, ...)."""
+    return np.einsum("ij...,jk...->ik...", x, y)
+
+
+def _bracket(x, y):
+    return _mat_mul(x, y) - _mat_mul(y, x)
+
+
+def _ode_mesh(r_start: float, r_end: float, n: int, sigma: float) -> np.ndarray:
+    """Knots from r_start up to about r_end whose every step h from a knot
+    r is at most min(_STIFF_STEP r/N, _GROWTH_STEP sigma^2/(r + sigma)):
+    geometric while the first bound is the smaller, then equal steps in
+    (r + sigma)^2."""
+    q = _STIFF_STEP / n
+    r_switch = min(0.5 * sigma * (math.sqrt(1.0 + 4.0 * _GROWTH_STEP / q) - 1.0), r_end)
+    count = math.ceil(math.log(r_switch / r_start) / math.log1p(q)) if r_switch > r_start else 0
+    geometric = r_start * (1.0 + q) ** np.arange(count + 1)
+    geometric = geometric[geometric < r_end]
+    w = (geometric[-1] + sigma) ** 2, (r_end + sigma) ** 2
+    count = math.ceil((w[1] - w[0]) / (2.0 * _GROWTH_STEP * sigma * sigma))
+    return np.concatenate([geometric, np.sqrt(np.linspace(*w, count + 1)[1:-1]) - sigma])
+
+
+def _propagators(mesh: np.ndarray, n: int, sigma4: float) -> np.ndarray:
+    """exp(Omega) of every mesh step, shape (2, 2, steps).
+
+    Omega is the sixth-order Magnus truncation from A at the step's three
+    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009,
+    sec. 5.4): with a1 = h A_2, a2 = sqrt(15) h (A_3 - A_1)/3 and
+    a3 = 10 h (A_3 - 2 A_2 + A_1)/3, C1 = [a1, a2],
+    C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.
+    """
+    h = np.diff(mesh)
+    r = mesh[:-1] + h * _GAUSS_NODES[:, None]  # (3, steps)
+    ha = np.zeros((2, 2, 3, h.size))  # h A(r) at the nodes
+    ha[0, 1] = h
+    ha[1, 0] = r * r / sigma4 * h
+    ha[1, 1] = -(n - 1) / r * h
+    a1 = ha[:, :, 1]
+    a2 = math.sqrt(15.0) / 3.0 * (ha[:, :, 2] - ha[:, :, 0])
+    a3 = 10.0 / 3.0 * (ha[:, :, 2] - 2.0 * ha[:, :, 1] + ha[:, :, 0])
+    c1 = _bracket(a1, a2)
+    c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
+    (a, b), (c, d) = a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # exp(Omega) = e^mu (cosh(delta) I + sinh(delta)/delta (Omega - mu I)),
+    # taken as halves at e^(mu + delta) and e^(mu - delta).  Every entry is
+    # positive; the diagonal's 1 - |p|/delta is formed as
+    # bc/(delta (delta + |p|)), so the entry that decays across a stiff
+    # step does not cancel.
+    mu, p = 0.5 * (a + d), 0.5 * (a - d)
+    bc = b * c
+    delta = np.sqrt(p * p + bc)
+    low = bc / (delta * (delta + np.abs(p)))  # 1 - |p|/delta
+    high = 2.0 - low  # 1 + |p|/delta
+    grow, decay = np.exp(mu + delta), np.exp(mu - delta)
+    span = -0.5 * grow * np.expm1(-2.0 * delta) / delta  # (grow - decay) / (2 delta)
+    big, small = 0.5 * (grow * high + decay * low), 0.5 * (grow * low + decay * high)
+    up = p >= 0.0
+    return np.array([[np.where(up, big, small), span * b], [span * c, np.where(up, small, big)]])
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """m_k ... m_1 m_0 for every k of stacked 2x2 matrices, in place, by
+    log-depth doubling (Hillis & Steele, Commun. ACM 29, 1986)."""
+    shift = 1
+    while shift < m.shape[-1]:
+        m[..., shift:] = _mat_mul(m[..., shift:], m[..., :-shift])
+        shift *= 2
+    return m
+
+
 def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
     """Direct integration of u'' + (N-1)/r u' = r^2 u / sigma^4.
 
@@ -320,28 +395,34 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
     where the first omitted term is at most 1e-18 relative for both u
     and u' (a_4 x^4 and 4 a_4 x^3 / a_1), capped at r_max/2 so at least
     half the range is integrated.  Grid points at r <= r0 take the series
-    value; the rest come from LSODA (Adams/BDF, switched automatically,
-    through scipy's odeint) at relative tolerance 1e-13, started from the
-    series at r0/2.  Starting below r0 keeps every output point clear of
-    the start, which LSODA refuses within rounding of it, and the series
-    is more accurate there still (its first omitted term scales as r^16).
-    At rtol 1e-12 the N=300 profile drifts 3e-13 from the series, and at
-    1e-14 LSODA refuses.  Up to 1,000,000 steps are allowed between two
-    output points, so a grid of 2 or 3 points is integrated, not refused
-    with "Excess work done" as under ODEPACK's default of 500.  nfev counts
-    right-hand-side evaluations (0 when every grid point lies within r0)
-    and series_points the grid points filled from the series.
+    value; the rest are integrated from the series at r0/2, which keeps
+    every output point clear of the start; the series is more accurate
+    there still (its first omitted term scales as r^16).
+
+    The equation is linear, y' = A(r) y with y = (u, u') and
+    A = [[0, 1], [r^2/sigma^4, -(N-1)/r]], so each mesh step's propagator
+    is exp(Omega), a sixth-order Magnus exponential (_propagators), and y
+    at every knot is a prefix product of propagators applied to the
+    start.  The mesh has a knot at every output point, and every step h
+    from a knot r is at most min(r/N, 0.1 sigma^2/(r + sigma)): the first
+    bound keeps h (N-1)/r below 1, the stiff term's share of the step, and
+    the second the growth h r/sigma^2 below 0.1.  The mesh is solved, then
+    solved again with every step halved.  The two levels' largest relative
+    gap at the output points must be at most 1e-8; the returned values are
+    their Richardson extrapolation fine + (fine - coarse)/63, which
+    cancels the h^6 term of the global error.  nfev counts evaluations of
+    A(r), three per step on both levels (0 when every grid point lies
+    within r0), and series_points the grid points filled from the series.
 
     Raises:
         RuntimeError: "direct integration range exceeded" when the growth
             bound says u(r_max) would overflow double precision (use the
             logarithmic-derivative route instead); "radial ODE integration
-            failed" naming LSODA's message when it refuses, in place of
-            odeint's ODEintWarning.
+            failed" naming the gap between the two mesh levels, and the
+            radius where it is largest, when it exceeds 1e-8 or is not a
+            number.
         ValueError: for a grid _radial_grid refuses within [0, r_max].
     """
-    from scipy.integrate import ODEintWarning, odeint
-
     r_max = float(r_max)
     n = params.n_goods
     sigma4 = params.sigma**4
@@ -367,34 +448,31 @@ def ode_solve(params: ModelParams, r_max: float, grid) -> RadialGridFn:
         up = r**3 / sigma4 * (a1 + x * (2.0 * a2 + x * 3.0 * a3))
         return u, up
 
-    def rhs(r, y):
-        u, up = y
-        return [up, r * r * u / sigma4 - (n - 1) * up / r]
-
     head = grid <= r0
     values = np.empty(grid.shape)
     values[head], _ = local_series(grid[head])
+    out = grid[~head]
     nfev = 0
-    if not np.all(head):
-        r_start = 0.5 * r0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ODEintWarning)
-            y, info = odeint(
-                rhs,
-                local_series(r_start),
-                np.concatenate(([r_start], grid[~head])),
-                tfirst=True,
-                full_output=True,
-                rtol=_ODE_RTOL,
-                atol=1e-30,
-                mxstep=_ODE_MXSTEP,
+    if out.size:
+        u0, up0 = local_series(0.5 * r0)
+        mesh = _ode_mesh(0.5 * r0, out[-1], n, params.sigma)
+        mesh = np.union1d(mesh[mesh < out[-1]], out)
+        levels = []
+        for _ in range(2):
+            m = _prefix_products(_propagators(mesh, n, sigma4))
+            step = np.searchsorted(mesh, out) - 1  # the step ending at each output point
+            levels.append(m[0, 0, step] * u0 + m[0, 1, step] * up0)
+            nfev += 3 * (mesh.size - 1)
+            mesh = np.insert(mesh, np.arange(1, mesh.size), 0.5 * (mesh[:-1] + mesh[1:]))
+        coarse, fine = levels
+        gap = np.abs(fine - coarse) / fine
+        worst = int(np.argmax(gap))
+        if not gap[worst] <= _ODE_LEVEL_GAP:
+            raise RuntimeError(
+                f"radial ODE integration failed: the mesh and its halving differ by "
+                f"{gap[worst]:.3e} relative at r = {out[worst]:.6g}, past {_ODE_LEVEL_GAP:.0e}"
             )
-        for w in caught:  # a refusal raises; any other warning passes on
-            if issubclass(w.category, ODEintWarning):
-                raise RuntimeError(f"radial ODE integration failed: {info['message']}")
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        values[~head] = y[1:, 0]
-        nfev = int(info["nfe"][-1])
+        values[~head] = fine + (fine - coarse) / 63.0
     return RadialGridFn(grid, values, nfev=nfev, series_points=int(np.count_nonzero(head)))
 
 

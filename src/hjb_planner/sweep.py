@@ -329,7 +329,12 @@ def run_simulate(
     trace_files = []
     for pid, arr in enumerate(batch.traces):
         t = arr[:, 0]
-        norms = np.sqrt(np.sum(arr[:, 1 : 1 + n_goods] ** 2, axis=1))
+        y = arr[:, 1 : 1 + n_goods]
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.sum(y**2, axis=1))
+        # hypot where the sum of squares overflowed, so a far start plots finite
+        wide = ~np.isfinite(norms)
+        norms[wide] = np.hypot.reduce(y[wide], axis=1)
         curves.append((t, norms))
         if trace:
             path = out / f"trace_path{pid:04d}.csv"

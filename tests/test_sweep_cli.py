@@ -350,6 +350,17 @@ class TestRunSimulate:
         trace_lines = result["trace_files"][0].read_text().splitlines()
         assert trace_lines[0] == "t,y_1,y_2,cost"
 
+    def test_far_start_plots_a_finite_norm(self, tmp_path):
+        # |y0|^2 overflows a double: the plotted norm falls back to hypot
+        cfg = SimConfig(dt=1e-3, max_steps=10, n_paths=3, seed=42, y0=np.array([1e200, -1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_simulate(2, 1.0, 1.0, cfg, tmp_path)
+        svg = (tmp_path / "paths.svg").read_text()
+        assert svg.count("<polyline") == 3
+        assert "inf" not in svg and "nan" not in svg
+        assert re.search(r">1\.\d+e\+200</text>", svg)  # the norm axis label
+
     def test_list_and_array_curves_render_the_same(self):
         rng = np.random.default_rng(3)
         curves = [
@@ -508,9 +519,11 @@ class TestCli:
         equivalence = (tmp_path / "verify_equivalence.csv").read_text().splitlines()
         assert equivalence == ["N,sigma,radius,series_vs_picard,series_vs_ode,picard_vs_ode"]
 
-    def test_verify_ode_refusal_is_one_line(self, tmp_path, capsys, refusing_odeint):
-        # the refusal arrives as an ODEintWarning; no warning may escape
-        # the cell, which fails in one line while every report is written
+    def test_verify_ode_refusal_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # the integrator's self-check refuses, past a 1e-15 level gap; no
+        # warning may escape the cell, which fails in one line while every
+        # report is written
+        monkeypatch.setattr(oracles, "_ODE_LEVEL_GAP", 1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_verify(
@@ -518,10 +531,13 @@ class TestCli:
             )
         assert code == 1
         lines = capsys.readouterr().out.splitlines()
-        assert [ln for ln in lines if ln.startswith("equivalence")] == [
-            "equivalence: FAIL (cell N=2 sigma=1.0 R=1.0: radial ODE integration failed: "
-            f"{refusing_odeint})"
-        ]
+        equivalence = [ln for ln in lines if ln.startswith("equivalence")]
+        assert len(equivalence) == 1
+        assert re.fullmatch(
+            r"equivalence: FAIL \(cell N=2 sigma=1\.0 R=1\.0: radial ODE integration failed: "
+            r"the mesh and its halving differ by \S+ relative at r = \S+, past 1e-15\)",
+            equivalence[0],
+        )
         assert lines[-1] == "verify: FAIL (1 failing check(s))"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "verify_bounds.csv",
@@ -649,16 +665,27 @@ class TestCli:
              "hjb-planner cost: bad --r0 'inf': radii must be finite and >= 0, got r = inf$"),
             (["cost", "--r0=-5e-324"],
              "hjb-planner cost: bad --r0 '-5e-324': radii must be finite and >= 0, got r = -5e-324$"),
+            # an --out that cannot be a directory: FILE is an existing file
+            (["rate", "--n", "2", "--r", "1", "--out", "FILE"],
+             r"hjb-planner rate: failed writing .*FILE/rate_table\.csv: \[Errno 17\] File exists"),
+            (["rate", "--n", "2", "--r", "1", "--out", "FILE/sub"],
+             r"hjb-planner rate: failed writing .*FILE/sub/rate_table\.csv: \[Errno 20\] Not a directory"),
         ],
     )
     def test_refused_value_is_one_line(self, tmp_path, capsys, argv, reason):
-        # --out only to a verb that declares it; cost prints to stdout
+        # --out only to a verb that declares it and to a case that gives
+        # none; cost prints to stdout
         out = tmp_path / "out"
+        (tmp_path / "FILE").write_text("kept")
+        argv = [arg.replace("FILE", str(tmp_path / "FILE")) for arg in argv]
         declared = [flag for flag, *_ in cli.OPTIONS[argv[0]][1]]
+        given = ["--out", str(out)] if "--out" in declared and "--out" not in argv else []
         with pytest.raises(SystemExit, match=reason):
-            main([*argv, *(["--out", str(out)] if "--out" in declared else [])])
+            main([*argv, *given])
         assert capsys.readouterr().out == ""
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FILE"]
+        assert (tmp_path / "FILE").read_text() == "kept"
 
     def test_rate_requires_radius_argument(self):
         with pytest.raises(SystemExit, match="hjb-planner rate: provide --r or --r-grid"):
@@ -714,15 +741,18 @@ class TestCli:
                 assert f"{flag} " in text and f"(default {default})" in text
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy serves only the oracles' ODE solves, so simulate, sweep and rate
-    # start without it
-    code = (
-        "import sys, hjb_planner.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the library needs numpy only: importing the CLI, and a verify cell
+    # with its ODE solve, load no scipy module
     env = dict(os.environ, PYTHONPATH=str(Path(hjb_planner.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    verify = ["verify", "--n", "2", "--sigma", "1", "--radius", "1", "--out", str(tmp_path)]
+    for call in ("", f"hjb_planner.cli.main({verify!r}); "):
+        code = (
+            f"import sys, hjb_planner.cli; {call}"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
+    assert "verify: PASS (0 failing check(s))" in out.stdout
